@@ -2,16 +2,18 @@
 // reference grid — the seven paper workloads under conventional SC and
 // INVISIFENCE-SELECTIVE-SC — and records the trajectory as a BENCH_<n>.json
 // file, so every PR that touches the core leaves a measured data point
-// behind. Grid cells run under the parallel runner (-clusters; by default
-// derived from GOMAXPROCS and the 16-node grid, see defaultClusters);
-// simulated results are scheduler-independent (TestGoldenResults,
-// TestParallelBitExact), so trajectories stay comparable across files.
+// behind. Grid cells run under the event loop at -clusters node clusters
+// (by default derived from GOMAXPROCS and the 16-node grid, see
+// defaultClusters); simulated results are scheduler-independent
+// (TestGoldenResults, TestParallelBitExact), so trajectories stay
+// comparable across files.
 //
 // For the reference apache cells (conventional SC and Invisi_sc, the two
 // configurations the performance acceptance gates track) it additionally
-// re-runs the simulation under the serial event-horizon scheduler and the
-// naive lock-step loop, recording the serial-to-parallel trajectory per
-// cell: lock-step ns, serial ns, parallel ns, and the derived speedups.
+// re-runs the simulation under the one-cluster event loop and the naive
+// lock-step loop, recording the scheduler trajectory per cell: lock-step
+// ns, one-cluster ns ("serial"), configured-cluster ns, and the derived
+// speedups.
 //
 // Besides the latency-only grid it measures two contention smoke cells —
 // apache under conventional SC and Invisi_sc with a finite link bandwidth
@@ -26,7 +28,7 @@
 //	bench -quick          # CI smoke: scale 0.25, 1 iteration
 //	bench -out results/   # write BENCH_<n>.json into a directory
 //	bench -workloads apache,ocean -variants sc -iters 5
-//	bench -clusters 0     # measure the serial schedulers only
+//	bench -clusters 0     # measure the one-cluster event loop (inline, no goroutines)
 //	bench -clusters -1    # explicit auto: derive clusters from GOMAXPROCS
 package main
 
@@ -63,12 +65,12 @@ type benchRun struct {
 }
 
 // reference pins one cell's scheduler trajectory: the same simulation under
-// the naive lock-step loop, the serial event-horizon scheduler, and the
-// parallel runner, in this binary (isolating scheduler effects from
-// everything else) — and, when -prerefactor-ns supplies a measurement of
-// the seed core on the same host, against the pre-refactor implementation
-// as a whole. OptimizedNs is the best configured scheduler (the parallel
-// runner unless -clusters 0).
+// the naive lock-step loop, the one-cluster event loop (SerialNs), and the
+// event loop at the configured cluster count, in this binary (isolating
+// scheduler effects from everything else) — and, when -prerefactor-ns
+// supplies a measurement of the seed core on the same host, against the
+// pre-refactor implementation as a whole. OptimizedNs is the configured
+// scheduler (the one-cluster event loop under -clusters 0).
 type reference struct {
 	Workload           string  `json:"workload"`
 	Variant            string  `json:"variant"`
@@ -169,7 +171,7 @@ func main() {
 	variants := flag.String("variants", "sc,invisi-sc", "comma-separated variant names")
 	noRef := flag.Bool("no-reference", false, "skip the apache scheduler-trajectory measurements")
 	preNs := flag.Int64("prerefactor-ns", 0, "measured ns/run of the pre-refactor (seed) core for apache/SC at the same scale on this host; recorded for the trajectory")
-	clusters := flag.Int("clusters", -1, "parallel-runner clusters for grid cells (-1 = derive from GOMAXPROCS, 0 = serial event-horizon scheduler)")
+	clusters := flag.Int("clusters", -1, "event-loop node clusters for grid cells (-1 = derive from GOMAXPROCS, 0 or 1 = one cluster run inline)")
 	linkbw := flag.Uint64("linkbw", 4, "link bandwidth in cycles/flit for the contention smoke cells (0 skips them; only run on the unfiltered reference grid)")
 	flag.Parse()
 
@@ -300,7 +302,7 @@ func main() {
 			if err != nil {
 				fail(err)
 			}
-			serial := opt // -clusters 0: optimized IS the serial scheduler
+			serial := opt // -clusters 0: optimized IS the one-cluster event loop
 			if *clusters >= 2 {
 				cfg.Clusters = 0
 				serial, err = measure(cfg, *iters)

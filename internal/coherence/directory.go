@@ -191,11 +191,11 @@ func (t *dirTable) del(a memtypes.Addr) {
 
 // Directory is the home directory slice at one node. It owns the node's
 // memory controller and communicates with cache controllers through a Port
-// (the torus, or in the parallel runner the node's network shard).
+// (the torus, or with several event-loop clusters the node's network shard).
 //
 // All pooled state — the entry arena, free list, and table — is private to
 // one Directory, and each Directory is driven only by its owning node's
-// goroutine between barriers, so the parallel runner shares nothing through
+// goroutine between barriers, so cluster goroutines share nothing through
 // the pools (DESIGN.md §9; enforced by the sim-race CI job).
 type Directory struct {
 	id    memtypes.NodeID

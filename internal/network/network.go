@@ -47,17 +47,17 @@ type Message struct {
 	sent   uint64 // send cycle (shard mode ordering component)
 }
 
-// Ordering note. The serial network breaks same-cycle delivery ties with a
-// single global send counter (seq), so messages delivered in the same cycle
-// to the same inbox pop in global send order. In shard mode no global
+// Ordering note. The whole-torus network breaks same-cycle delivery ties
+// with a single global send counter (seq), so messages delivered in the
+// same cycle to the same inbox pop in global send order. In shard mode no global
 // counter exists — sends happen concurrently on different shards — so seq is
 // a per-source counter instead and the heap orders by the composite key
-// (arrive, sent, src, seq). The two orders are identical: the serial
-// simulator ticks nodes in ascending NodeID order within a cycle, and every
-// send happens inside some node's tick, so global send order is exactly
+// (arrive, sent, src, seq). The two orders are identical: every runner
+// ticks nodes in ascending NodeID order within a cycle, and every send
+// happens inside some node's tick, so global send order is exactly
 // lexicographic (send cycle, source NodeID, per-source send index). The
-// parallel-vs-serial bit-exactness tests (TestParallelBitExact) enforce
-// this equivalence.
+// runner bit-exactness tests (TestParallelBitExact) enforce this
+// equivalence.
 
 // Config describes the torus geometry and timing.
 type Config struct {
@@ -140,15 +140,16 @@ func (b *inbox) pop() (Message, bool) {
 // Network is the torus — or, in shard mode, one cluster's partition of it.
 //
 // A plain Network (New) owns every node and is not safe for concurrent use;
-// the serial simulator is single-threaded and deterministic.
+// the one-cluster event loop and the lock-step loop drive it from a single
+// goroutine.
 //
 // A shard (NewShard) owns a subset of the nodes: it carries the in-flight
 // heap and inboxes for messages destined to its own nodes, and the per-pair
 // FIFO state for messages sent by its own nodes. Sends to foreign nodes are
 // timestamped locally (arrival cycle, FIFO bump, per-source sequence) and
-// parked in an outbox; the parallel scheduler moves them into the owning
-// shard with Inject at an epoch barrier, before any cycle at which they
-// could arrive (see internal/sim's parallel runner and DESIGN.md §7).
+// parked in an outbox; the event loop's coordinator moves them into the
+// owning shard with Inject at an epoch barrier, before any cycle at which
+// they could arrive (see internal/sim's event loop and DESIGN.md §7).
 // Distinct shards never share mutable state, so each may be driven by its
 // own goroutine between barriers.
 type Network struct {
@@ -191,9 +192,10 @@ type Network struct {
 	// Counters for bandwidth accounting and tests. In shard mode Sent and
 	// TotalHops count sends by this shard's nodes and Delivered counts
 	// deliveries into this shard's inboxes; summing over shards matches the
-	// serial counters exactly. Contention aggregates the link-occupancy
+	// whole-torus counters exactly. Contention aggregates the link-occupancy
 	// telemetry the same way: per-link state is per-source, so summing the
-	// shard instances (stats.NetStats.Merge) reproduces the serial counters.
+	// shard instances (stats.NetStats.Merge) reproduces the whole-torus
+	// counters.
 	Sent       uint64
 	Delivered  uint64
 	TotalHops  uint64
@@ -230,7 +232,8 @@ func New(cfg Config) *Network {
 // NewShard creates one cluster's partition of the torus: a Network that
 // simulates only the nodes with owned[id] == true. Jitter is rejected — its
 // RNG is consumed in global send order, which shards cannot reproduce; the
-// parallel scheduler falls back to the serial loop for jittered runs.
+// event loop runs jittered systems as one cluster over a whole-torus
+// network, whose node ticks draw it in that order.
 func NewShard(cfg Config, owned []bool) *Network {
 	if cfg.Jitter > 0 {
 		panic("network: shards do not support jitter (global RNG order)")
@@ -472,9 +475,9 @@ func (n *Network) Send(src, dst NodeID, payload coherence.Msg) {
 // Tick advances the network to the given cycle, moving every message whose
 // delivery time has been reached into its destination inbox. now must be
 // monotonically non-decreasing across calls; the jump from one call to the
-// next may be arbitrarily large (idle-skip, epoch advancement), and every
-// message with arrive <= now is delivered in ordering-key order regardless
-// of how many cycles the jump spanned.
+// next may be arbitrarily large (event-loop jumps, epoch advancement), and
+// every message with arrive <= now is delivered in ordering-key order
+// regardless of how many cycles the jump spanned.
 func (n *Network) Tick(now uint64) {
 	n.now = now
 	for len(n.flight) > 0 && n.flight[0].arrive <= now {
@@ -491,7 +494,7 @@ func (n *Network) Recv(dst NodeID) (Message, bool) {
 }
 
 // InboxLen reports delivered-but-unconsumed messages queued for dst; the
-// idle-skip scheduler treats a non-empty inbox as immediate work.
+// event loop treats a non-empty inbox as immediate work.
 func (n *Network) InboxLen(dst NodeID) int { return n.inboxes[dst].len() }
 
 // NextEvent returns the earliest cycle at which this network (whole torus
@@ -525,7 +528,7 @@ func (n *Network) NextEvent() uint64 {
 // LinkNextEvent is the per-shard link-occupancy horizon: the earliest
 // cycle at which a currently-busy injection link frees, or
 // memtypes.NoEvent when every link is idle (always, with LinkBandwidth 0).
-// NextEvent folds it in so the event-horizon schedulers stay exact under
+// NextEvent folds it in so the event loop stays exact under
 // contention by construction: no link state transition can hide inside a
 // skipped stretch. The fold is conservative — a release itself mutates
 // nothing (reservations are resolved eagerly at Send, and expired
@@ -571,10 +574,10 @@ func (n *Network) Pending() int {
 }
 
 // msgHeap is a hand-rolled min-heap of message values; avoiding
-// container/heap keeps pushes boxing-free. The serial network orders by
-// (arrive, seq) with a global seq; shards order by the composite key
+// container/heap keeps pushes boxing-free. The whole-torus network orders
+// by (arrive, seq) with a global seq; shards order by the composite key
 // (arrive, sent, src, per-source seq), which is a total order equal to the
-// serial one (see the ordering note on Message). Because the key is total,
+// global one (see the ordering note on Message). Because the key is total,
 // pop order is independent of push order — cross-shard injection at a
 // barrier cannot perturb delivery determinism.
 type msgHeap []Message

@@ -289,8 +289,8 @@ func TestShardOrderingMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardRejectsJitter pins the fallback contract: shards cannot
-// reproduce the serial jitter RNG's global consumption order.
+// TestShardRejectsJitter pins the one-cluster contract: shards cannot
+// reproduce the jitter RNG's global consumption order.
 func TestShardRejectsJitter(t *testing.T) {
 	defer func() {
 		if recover() == nil {

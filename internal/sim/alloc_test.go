@@ -8,16 +8,11 @@ import (
 	"invisifence/internal/isa"
 )
 
-// stepSystem hand-drives the serial lock-step cycle loop (network tick, then
-// every node in ascending ID order — exactly runSerial's order) so the test
+// stepSystem drives the lock-step loop's cycle step directly, so the test
 // can measure a bounded window of steady-state cycles in isolation.
 func stepSystem(s *System, cycles int) {
 	for i := 0; i < cycles; i++ {
-		s.now++
-		s.net.Tick(s.now)
-		for _, n := range s.nodes {
-			n.Tick(s.now)
-		}
+		s.step()
 	}
 }
 

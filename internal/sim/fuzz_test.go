@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"invisifence/internal/consistency"
@@ -146,4 +147,60 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzRunnerEquivalence is the runner-equivalence check over random
+// programs: for each seed, random multi-threaded programs must produce
+// deeply-equal Results under the lock-step loop and the event loop at one,
+// two and three clusters, across a mix of speculative and conventional
+// implementations. Odd seeds also pin MaxCycles truncation (runs that hit
+// the bound must truncate at the same cycle with identical partial stats),
+// and a jittered network must match lock-step at one cluster, where jitter
+// is drawn in the lock-step send order. The seed corpus holds the seeds of
+// the fixed list this check grew from.
+func FuzzRunnerEquivalence(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 1234, 99991} {
+		f.Add(seed)
+	}
+	engines := []struct {
+		name  string
+		model consistency.Model
+		eng   ifcore.Config
+	}{
+		{"sc", consistency.SC, offEngine(consistency.SC)},
+		{"invisi-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC)},
+		{"continuous-cov", consistency.SC, ifcore.DefaultContinuous(true)},
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		const cores = 4
+		rng := rand.New(rand.NewSource(seed))
+		progs := make([]*isa.Program, cores)
+		regInits := make([][isa.NumRegs]memtypes.Word, cores)
+		for i := 0; i < cores; i++ {
+			progs[i], regInits[i] = randomProgram(rng, i, memtypes.Addr(0x100000+i*0x10000))
+		}
+		for _, e := range engines {
+			run := func(mutate func(*Config)) Result {
+				cfg := testConfig(2, 2, e.model, e.eng)
+				if seed%2 != 0 {
+					cfg.MaxCycles = 30_000
+				}
+				mutate(&cfg)
+				return New(cfg, progs, regInits).Run()
+			}
+			lockstep := run(func(c *Config) { c.DisableIdleSkip = true })
+			for _, k := range []int{1, 2, 3} {
+				if got := run(func(c *Config) { c.Clusters = k }); !reflect.DeepEqual(lockstep, got) {
+					t.Errorf("seed %d/%s: event loop (%d clusters) diverged from lock-step:\nlock-step: %+v\nevents:    %+v",
+						seed, e.name, k, lockstep, got)
+				}
+			}
+			jitter := func(c *Config) { c.Net.Jitter = 4; c.Net.Seed = seed }
+			want := run(func(c *Config) { jitter(c); c.DisableIdleSkip = true })
+			if got := run(jitter); !reflect.DeepEqual(want, got) {
+				t.Errorf("seed %d/%s: jittered event loop diverged from lock-step:\nlock-step: %+v\nevents:    %+v",
+					seed, e.name, want, got)
+			}
+		}
+	})
 }

@@ -1,5 +1,5 @@
-// Conservative parallel in-run simulation: per-node local clocks, one
-// goroutine per node cluster, epoch barriers at the torus lookahead.
+// The event loop: per-node local clocks over one or more node clusters,
+// with epoch barriers at the torus lookahead between clusters.
 //
 // The contract (DESIGN.md §7, condensed):
 //
@@ -14,14 +14,16 @@
 //   - Therefore, once every cluster has simulated through cycle E and
 //     exchanged cross-cluster messages, each cluster can simulate
 //     (E, E+L] independently: every message that can arrive in that window
-//     is already in its shard's in-flight heap.
+//     is already in its shard's in-flight heap. With one cluster there is
+//     no cross-cluster message, so an epoch is bounded only by MaxCycles
+//     and the watchdog deadline, and the cluster runs inline.
 //   - Within its epoch a cluster runs an event loop with per-node local
 //     clocks: a node ticks only at cycles where its cached NextEvent
 //     horizon or an arriving message says it could change state; the
 //     skipped node-cycles are replayed in bulk with SkipCycles before its
-//     next tick, exactly as the serial idle-skip loop does system-wide.
-//   - Termination must match the serial loops bit-exactly: the run ends at
-//     the first cycle F at which every node reports Finished. A cluster
+//     next tick.
+//   - Termination must match the lock-step loop bit-exactly: the run ends
+//     at the first cycle F at which every node reports Finished. A cluster
 //     whose nodes are all finished pauses rather than simulating ahead
 //     (cycles past F must never be simulated), and the coordinator resolves
 //     the exact F with an iterative barrier protocol (see resolve).
@@ -30,7 +32,9 @@
 // and shard; the coordinator touches shared state only while every worker
 // is parked (channel-synchronized, so the race detector agrees). Message
 // delivery order is a total order independent of exchange batching (see the
-// ordering note in internal/network).
+// ordering note in internal/network). Within a cluster, nodes tick in
+// ascending (cycle, node ID) order — the lock-step order — so a single
+// whole-torus cluster also draws network jitter in the lock-step order.
 package sim
 
 import (
@@ -61,6 +65,10 @@ type cluster struct {
 	lastTick []uint64
 	horizon  []uint64
 
+	// progress is the last cycle at which an owned node retired an
+	// instruction (the watchdog's clock; 0 before any retirement).
+	progress uint64
+
 	// paused marks that the cluster stopped at pauseCycle because all its
 	// nodes were Finished there and the coordinator had not yet proven the
 	// run extends further (the endgame protocol).
@@ -75,17 +83,12 @@ type cluster struct {
 
 // clusterCmd asks a worker to advance its cluster: simulate up to limit,
 // pausing at the first cycle >= safe at which all its nodes are Finished.
-// safe is the coordinator's guarantee that the serial loop would reach
+// safe is the coordinator's guarantee that the lock-step loop would reach
 // cycle safe (F >= safe), so pausing earlier is never necessary.
 type clusterCmd struct{ safe, limit uint64 }
 
 func newCluster(idx int, shard *network.Network, all []*node.Node, ids []int) *cluster {
-	c := &cluster{
-		idx:   idx,
-		shard: shard,
-		cmds:  make(chan clusterCmd),
-		done:  make(chan struct{}),
-	}
+	c := &cluster{idx: idx, shard: shard}
 	for _, id := range ids {
 		c.nodes = append(c.nodes, all[id])
 		c.ids = append(c.ids, network.NodeID(id))
@@ -144,6 +147,11 @@ func (c *cluster) advance(safe, limit uint64) {
 			return
 		}
 		t := c.nextEventTime()
+		if t == memtypes.NoEvent && lim == memtypes.NoEvent {
+			// Unfinished, nothing pending, and no bound to stop at: the
+			// lock-step loop would spin forever.
+			panic(fmt.Sprintf("sim: cluster %d is deadlocked at cycle %d and the run has no MaxCycles or watchdog bound", c.idx, c.clock))
+		}
 		if t > lim { // includes NoEvent
 			c.clock = lim // provably-idle stretch: pure lag, no work
 			continue
@@ -157,8 +165,8 @@ func (c *cluster) advance(safe, limit uint64) {
 }
 
 // runCycle simulates exactly cycle t: deliver arrivals, then tick every due
-// node (ascending node ID, matching the serial loops' order), replaying
-// each ticked node's lag first.
+// node (ascending node ID, matching the lock-step order), replaying each
+// ticked node's lag first.
 func (c *cluster) runCycle(t uint64) {
 	c.shard.Tick(t)
 	for i, n := range c.nodes {
@@ -167,7 +175,11 @@ func (c *cluster) runCycle(t uint64) {
 				n.SkipCycles(gap)
 				c.st.SkippedNodeCycles += gap
 			}
+			retired := n.Core().Retired
 			n.Tick(t)
+			if n.Core().Retired != retired {
+				c.progress = t
+			}
 			c.lastTick[i] = t
 			c.horizon[i] = n.NextEvent()
 			c.st.NodeTicks++
@@ -177,8 +189,8 @@ func (c *cluster) runCycle(t uint64) {
 }
 
 // flushLag brings every node's accounting up to cycle "to" (all remaining
-// lag is provably idle), aligning the cluster with what the serial loops
-// would have ticked or skipped by then.
+// lag is provably idle), aligning the cluster with what the lock-step loop
+// would have ticked by then.
 func (c *cluster) flushLag(to uint64) {
 	for i, n := range c.nodes {
 		if gap := to - c.lastTick[i]; gap > 0 {
@@ -192,28 +204,32 @@ func (c *cluster) flushLag(to uint64) {
 
 // ---------------------------------------------------------------- runner
 
-// runParallel is the coordinator: it drives the cluster workers through
-// epochs of length lookahead, exchanges cross-shard messages at barriers,
+// runEvents is the coordinator: it drives the clusters through epochs of
+// length lookahead, exchanges cross-shard messages at barriers,
 // fast-forwards whole-system idle stretches, and resolves the exact finish
-// cycle.
-func (s *System) runParallel() Result {
+// cycle. With one cluster it runs everything inline.
+func (s *System) runEvents() Result {
 	clusters := make([]*cluster, len(s.shards))
 	for ci := range s.shards {
 		clusters[ci] = newCluster(ci, s.shards[ci], s.nodes, s.clusterNodes[ci])
 	}
-	for _, c := range clusters {
-		go func(c *cluster) {
-			for cmd := range c.cmds {
-				c.advance(cmd.safe, cmd.limit)
-				c.done <- struct{}{}
-			}
-		}(c)
+	if len(clusters) > 1 {
+		for _, c := range clusters {
+			c.cmds = make(chan clusterCmd)
+			c.done = make(chan struct{})
+			go func(c *cluster) {
+				for cmd := range c.cmds {
+					c.advance(cmd.safe, cmd.limit)
+					c.done <- struct{}{}
+				}
+			}(c)
+		}
 	}
 	defer func() {
 		for _, c := range clusters {
-			close(c.cmds)
-		}
-		for _, c := range clusters {
+			if c.cmds != nil {
+				close(c.cmds)
+			}
 			s.runnerStats.Merge(&c.st) // ascending cluster order: deterministic
 		}
 	}()
@@ -221,15 +237,23 @@ func (s *System) runParallel() Result {
 	lookahead := s.lookahead()
 	var (
 		epochEnd     uint64 // every cluster has simulated through epochEnd
-		safe         uint64 // serial provably reaches this cycle (F >= safe)
-		lastRetired  uint64
-		lastProgress uint64
+		safe         uint64 // lock-step provably reaches this cycle (F >= safe)
+		lastProgress uint64 // last cycle at which any node retired
 	)
 	for {
-		// Whole-system idle jump, mirroring the serial idle-skip bounds: the
-		// clock may advance to one cycle before the global horizon, but never
-		// across MaxCycles or the watchdog deadline. No node ticks, so no
-		// Finished flag can change during the jumped stretch — the run
+		// The lock-step loop's watchdog fires at the first cycle with no
+		// retirement for WatchdogCycles cycles; no epoch or jump crosses it.
+		deadline := uint64(memtypes.NoEvent)
+		if s.cfg.WatchdogCycles > 0 {
+			deadline = lastProgress + s.cfg.WatchdogCycles + 1
+		}
+		if s.cfg.MaxCycles > 0 && s.cfg.MaxCycles < deadline {
+			deadline = s.cfg.MaxCycles
+		}
+
+		// Whole-system idle jump: the clock may advance to one cycle before
+		// the global horizon, never across the deadline. No node ticks, so
+		// no Finished flag can change during the jumped stretch — the run
 		// cannot end inside it.
 		h := uint64(memtypes.NoEvent)
 		for _, c := range clusters {
@@ -238,30 +262,20 @@ func (s *System) runParallel() Result {
 			}
 		}
 		if h != memtypes.NoEvent && h > epochEnd+1 {
-			jump := h - 1
-			if s.cfg.MaxCycles > 0 && jump > s.cfg.MaxCycles {
-				jump = s.cfg.MaxCycles
-			}
-			if s.cfg.WatchdogCycles > 0 {
-				if deadline := lastProgress + s.cfg.WatchdogCycles + 1; jump > deadline {
-					jump = deadline
-				}
-			}
+			jump := min(h-1, deadline)
 			if jump > epochEnd {
 				clusters[0].st.IdleJumpCycles += jump - epochEnd
 				for _, c := range clusters {
 					c.clock = jump
 				}
 				epochEnd = jump
-				if safe < epochEnd {
-					safe = epochEnd
-				}
+				safe = max(safe, epochEnd)
 			}
 		}
 
-		target := epochEnd + lookahead
-		if s.cfg.MaxCycles > 0 && target > s.cfg.MaxCycles {
-			target = s.cfg.MaxCycles
+		target := deadline
+		if lookahead != memtypes.NoEvent {
+			target = min(epochEnd+lookahead, deadline)
 		}
 
 		s.dispatch(clusters, safe, target)
@@ -284,19 +298,23 @@ func (s *System) runParallel() Result {
 			s.now = epochEnd
 			return s.result(false)
 		}
-		if total := s.totalRetired(); total != lastRetired {
-			lastRetired = total
-			lastProgress = epochEnd
-		} else if s.cfg.WatchdogCycles > 0 && epochEnd-lastProgress > s.cfg.WatchdogCycles {
-			panic(fmt.Sprintf("sim: no retirement progress for %d cycles at cycle %d\n%s",
-				s.cfg.WatchdogCycles, epochEnd, s.debugState()))
+		for _, c := range clusters {
+			lastProgress = max(lastProgress, c.progress)
+		}
+		if s.cfg.WatchdogCycles > 0 && epochEnd-lastProgress > s.cfg.WatchdogCycles {
+			s.now = epochEnd
+			s.watchdogPanic()
 		}
 	}
 }
 
 // dispatch runs advance(safe, limit) on every cluster in sel concurrently
-// and waits for all of them (the barrier).
+// and waits for all of them (the barrier). A lone cluster runs inline.
 func (s *System) dispatch(sel []*cluster, safe, limit uint64) {
+	if len(s.shards) == 1 {
+		sel[0].advance(safe, limit)
+		return
+	}
 	for _, c := range sel {
 		c.cmds <- clusterCmd{safe: safe, limit: limit}
 	}
@@ -305,8 +323,8 @@ func (s *System) dispatch(sel []*cluster, safe, limit uint64) {
 	}
 }
 
-// resolve runs the endgame protocol after an epoch's advance. The serial
-// loops end at the first cycle F at which every node is Finished; here each
+// resolve runs the endgame protocol after an epoch's advance. The lock-step
+// loop ends at the first cycle F at which every node is Finished; here each
 // cluster pauses at its own first all-finished cycle, and F — if it lies in
 // this epoch — is the fixpoint of: take the maximum pause cycle F*, prove
 // the run reaches it (every earlier cycle had an unfinished node in the
@@ -353,7 +371,7 @@ func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Resu
 		}
 		if same {
 			// Every node Finished at f, and no cluster simulated past it:
-			// this is exactly where the serial loops return.
+			// this is exactly where the lock-step loop returns.
 			for _, c := range clusters {
 				c.flushLag(f)
 			}
@@ -373,8 +391,9 @@ func (s *System) resolve(clusters []*cluster, safe *uint64, target uint64) (Resu
 }
 
 // lookahead computes the epoch length: the minimum message latency between
-// any two nodes in different clusters. Self-messages (LocalLatency) are
-// always intra-cluster, so the bound is at least one torus hop.
+// any two nodes in different clusters, or memtypes.NoEvent for one cluster.
+// Self-messages (LocalLatency) are always intra-cluster, so between
+// clusters the bound is at least one torus hop.
 func (s *System) lookahead() uint64 {
 	la := uint64(memtypes.NoEvent)
 	for ci, as := range s.clusterNodes {
@@ -384,17 +403,12 @@ func (s *System) lookahead() uint64 {
 			}
 			for _, a := range as {
 				for _, b := range bs {
-					if l := s.shards[0].Latency(network.NodeID(a), network.NodeID(b)); l < la {
-						la = l
-					}
+					la = min(la, s.shards[0].Latency(network.NodeID(a), network.NodeID(b)))
 				}
 			}
 		}
 	}
-	if la == 0 || la == memtypes.NoEvent {
-		la = 1
-	}
-	return la
+	return max(la, 1)
 }
 
 // exchange drains every shard's outbox and injects each message into the
@@ -419,34 +433,7 @@ func (s *System) exchange() {
 	}
 }
 
-// RunnerStats returns the parallel runner's merged telemetry for the
-// completed run (zero for the serial runners). It is intentionally not part
-// of Result: all runners must produce deeply-equal Results.
+// RunnerStats returns the event loop's merged telemetry for the completed
+// run (zero after a lock-step run). It is intentionally not part of Result:
+// both runners must produce deeply-equal Results.
 func (s *System) RunnerStats() stats.RunnerStats { return s.runnerStats }
-
-// ----------------------------------------------------- sharded lock-step
-
-// runLockstepSharded drives a clustered system with the naive per-cycle
-// loop: tick every shard and node each cycle, exchange cross-shard messages
-// at cycle end. It exists so per-cycle observation hooks (DebugHook,
-// coherence tracing) keep their in-order, single-goroutine contract on
-// clustered systems, and as a third oracle in the bit-exactness tests.
-// Cross-shard messages sent at cycle t arrive at t+latency >= t+1, so an
-// end-of-cycle exchange precedes every possible delivery.
-func (s *System) runLockstepSharded() Result {
-	var lastRetired uint64
-	var lastProgress uint64
-	for {
-		s.now++
-		for _, sh := range s.shards {
-			sh.Tick(s.now)
-		}
-		for _, n := range s.nodes {
-			n.Tick(s.now)
-		}
-		s.exchange()
-		if res, done := s.cycleEpilogue(&lastRetired, &lastProgress); done {
-			return res
-		}
-	}
-}

@@ -1,14 +1,15 @@
 package sim
 
 import (
-	"math/rand"
+	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"invisifence/internal/consistency"
 	ifcore "invisifence/internal/core"
 	"invisifence/internal/isa"
-	"invisifence/internal/memtypes"
 )
 
 // runnerCases is the full consistency-implementation grid the parallel
@@ -50,126 +51,133 @@ func runWith(t *testing.T, model consistency.Model, eng ifcore.Config, mutate fu
 	return res
 }
 
-// TestParallelBitExact proves the conservative parallel runner is invisible:
-// for every consistency implementation, the full Result — cycles,
-// retirement counts, the per-class cycle breakdown, per-node stats, and
-// every event counter — is identical across the lock-step loop, the serial
-// event-horizon loop, and the parallel runner at two cluster counts
-// (including one that divides the nodes unevenly).
+// TestParallelBitExact proves the event loop is invisible: for every
+// consistency implementation, the full Result — cycles, retirement counts,
+// the per-class cycle breakdown, per-node stats, and every event counter —
+// is identical across the lock-step loop and the event loop at one cluster
+// (inline, whole-torus network) and at two cluster counts (including one
+// that divides the nodes unevenly).
 func TestParallelBitExact(t *testing.T) {
 	for _, c := range runnerCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			lockstep := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.DisableIdleSkip = true })
-			skipped := runWith(t, c.model, c.eng, func(cfg *Config) {})
-			par2 := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = 2 })
-			par3 := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = 3 })
-			if !reflect.DeepEqual(lockstep, skipped) {
-				t.Errorf("idle-skip diverged from lock-step:\nlock-step: %+v\nidle-skip: %+v", lockstep, skipped)
-			}
-			if !reflect.DeepEqual(lockstep, par2) {
-				t.Errorf("parallel(2) diverged from lock-step:\nlock-step: %+v\nparallel:  %+v", lockstep, par2)
-			}
-			if !reflect.DeepEqual(lockstep, par3) {
-				t.Errorf("parallel(3) diverged from lock-step:\nlock-step: %+v\nparallel:  %+v", lockstep, par3)
+			for _, k := range []int{1, 2, 3} {
+				got := runWith(t, c.model, c.eng, func(cfg *Config) { cfg.Clusters = k })
+				if !reflect.DeepEqual(lockstep, got) {
+					t.Errorf("event loop (%d clusters) diverged from lock-step:\nlock-step: %+v\nevents:    %+v", k, lockstep, got)
+				}
 			}
 		})
 	}
 }
 
-// TestParallelFallbacks pins the serial-fallback rules: cluster counts the
-// node count cannot satisfy, DisableIdleSkip, and jitter all build a
-// serial (unsharded) system, and a sharded system with a DebugHook takes
-// the sharded lock-step loop (hook sees every cycle exactly once).
+// TestParallelFallbacks pins the one-cluster rules by their observable
+// result: cluster counts the node count cannot satisfy, jitter (whose RNG
+// only the whole-torus network draws in lock-step order), and
+// DisableIdleSkip all still deep-equal the lock-step loop.
 func TestParallelFallbacks(t *testing.T) {
-	base := testConfig(2, 2, consistency.SC, offEngine(consistency.SC))
 	for name, mutate := range map[string]func(*Config){
 		"clusters-exceed-nodes": func(c *Config) { c.Clusters = 5 },
-		"disable-idle-skip":     func(c *Config) { c.Clusters = 2; c.DisableIdleSkip = true },
 		"jitter":                func(c *Config) { c.Clusters = 2; c.Net.Jitter = 3 },
-		"one-cluster":           func(c *Config) { c.Clusters = 1 },
+		"disable-idle-skip":     func(c *Config) { c.Clusters = 2; c.DisableIdleSkip = true },
 	} {
-		cfg := base
-		mutate(&cfg)
-		nnodes := cfg.Net.Width * cfg.Net.Height
-		if k := effectiveClusters(cfg, nnodes); k != 1 {
-			t.Errorf("%s: effectiveClusters = %d, want 1 (serial fallback)", name, k)
+		want := runWith(t, consistency.SC, offEngine(consistency.SC), func(c *Config) {
+			mutate(c)
+			c.Clusters = 0
+			c.DisableIdleSkip = true
+		})
+		got := runWith(t, consistency.SC, offEngine(consistency.SC), mutate)
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: diverged from lock-step:\nlock-step: %+v\ngot:       %+v", name, want, got)
 		}
 	}
+}
 
-	cfg := base
-	cfg.Clusters = 2
+// TestDebugHookSeesEveryCycle pins the hook contract at every cluster
+// count: a DebugHook selects the lock-step loop, so it observes each cycle
+// exactly once, in order, and the Result still deep-equals lock-step.
+func TestDebugHookSeesEveryCycle(t *testing.T) {
+	want := runWith(t, consistency.SC, offEngine(consistency.SC), func(c *Config) { c.DisableIdleSkip = true })
+	for _, k := range []int{0, 1, 2} {
+		cfg := testConfig(2, 2, consistency.SC, offEngine(consistency.SC))
+		cfg.Clusters = k
+		progs := make([]*isa.Program, 4)
+		for i := range progs {
+			progs[i] = contendedProgram(i, 4)
+		}
+		s := New(cfg, progs, nil)
+		var hooks, last uint64
+		s.DebugHook = func(now uint64) {
+			if now != last+1 {
+				t.Fatalf("clusters %d: DebugHook skipped from %d to %d", k, last, now)
+			}
+			last = now
+			hooks++
+		}
+		res := s.Run()
+		if hooks != res.Cycles {
+			t.Errorf("clusters %d: DebugHook ran %d times for %d cycles", k, hooks, res.Cycles)
+		}
+		if !reflect.DeepEqual(want, res) {
+			t.Errorf("clusters %d: hooked run diverged from lock-step:\nlock-step: %+v\nhooked:    %+v", k, want, res)
+		}
+	}
+}
+
+// TestOneClusterRunsInline pins that the default event loop drives its
+// single cluster on the calling goroutine: a run starts no goroutine.
+func TestOneClusterRunsInline(t *testing.T) {
+	cfg := testConfig(2, 2, consistency.SC, offEngine(consistency.SC))
 	progs := make([]*isa.Program, 4)
 	for i := range progs {
 		progs[i] = contendedProgram(i, 4)
 	}
 	s := New(cfg, progs, nil)
-	var hooks uint64
-	var last uint64
-	s.DebugHook = func(now uint64) {
-		if now != last+1 {
-			t.Fatalf("DebugHook skipped from %d to %d", last, now)
-		}
-		last = now
-		hooks++
-	}
+	before := runtime.NumGoroutine()
 	res := s.Run()
+	after := runtime.NumGoroutine()
 	if !res.Finished {
-		t.Fatal("hooked sharded run did not finish")
+		t.Fatal("run did not finish")
 	}
-	if hooks != res.Cycles {
-		t.Errorf("DebugHook ran %d times for %d cycles", hooks, res.Cycles)
+	if after != before {
+		t.Errorf("one-cluster run changed the goroutine count: %d before, %d after", before, after)
 	}
-	want := runWith(t, consistency.SC, offEngine(consistency.SC), func(c *Config) { c.DisableIdleSkip = true })
-	if !reflect.DeepEqual(want, res) {
-		t.Errorf("sharded lock-step diverged from serial lock-step:\nserial:  %+v\nsharded: %+v", want, res)
+	if st := s.RunnerStats(); st.NodeTicks == 0 {
+		t.Errorf("one-cluster run reported no node ticks: %+v", st)
 	}
 }
 
-// TestParallelBitExactRandomPrograms is the seed-randomized equivalence
-// sweep: for a fixed list of seeds (no wall-clock dependence anywhere),
-// random multi-threaded programs must produce deeply-equal Results under
-// the serial event-horizon loop and the parallel runner, across a mix of
-// speculative and conventional implementations. MaxCycles truncation is
-// exercised too (seeded runs that hit the bound must truncate at the same
-// cycle with identical partial stats).
-func TestParallelBitExactRandomPrograms(t *testing.T) {
-	engines := []struct {
-		name  string
-		model consistency.Model
-		eng   ifcore.Config
-	}{
-		{"sc", consistency.SC, ifcore.Config{Mode: ifcore.ModeOff, Model: consistency.SC}},
-		{"invisi-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC)},
-		{"continuous-cov", consistency.SC, ifcore.DefaultContinuous(true)},
-	}
-	seeds := []int64{1, 7, 42, 1234, 99991}
-	const cores = 4
-	for _, seed := range seeds {
-		rng := rand.New(rand.NewSource(seed))
-		progs := make([]*isa.Program, cores)
-		regInits := make([][isa.NumRegs]memtypes.Word, cores)
-		for i := 0; i < cores; i++ {
-			progs[i], regInits[i] = randomProgram(rng, i, memtypes.Addr(0x100000+i*0x10000))
+// TestWatchdogExact pins the watchdog to the same cycle and message under
+// every runner: with every node stalled in a 50000-cycle Delay and a
+// 10000-cycle watchdog, the lock-step loop and the event loop at one and
+// two clusters must all panic at the first cycle that completes 10000
+// cycles without a retirement.
+func TestWatchdogExact(t *testing.T) {
+	run := func(mutate func(*Config)) (msg string) {
+		cfg := testConfig(2, 2, consistency.SC, offEngine(consistency.SC))
+		cfg.WatchdogCycles = 10_000
+		mutate(&cfg)
+		progs := make([]*isa.Program, 4)
+		for i := range progs {
+			b := isa.NewBuilder("stall")
+			b.Delay(50_000)
+			b.Halt()
+			progs[i] = b.MustBuild()
 		}
-		for _, e := range engines {
-			run := func(mutate func(*Config)) Result {
-				cfg := testConfig(2, 2, e.model, e.eng)
-				// Also pin MaxCycles truncation behavior on a subset of seeds.
-				if seed%2 == 1 {
-					cfg.MaxCycles = 30_000
-				}
-				mutate(&cfg)
-				s := New(cfg, progs, regInits)
-				return s.Run()
-			}
-			serial := run(func(*Config) {})
-			par := run(func(c *Config) { c.Clusters = 2 })
-			if !reflect.DeepEqual(serial, par) {
-				t.Errorf("seed %d/%s: parallel diverged from serial:\nserial:   %+v\nparallel: %+v",
-					seed, e.name, serial, par)
-			}
+		s := New(cfg, progs, nil)
+		defer func() { msg = fmt.Sprint(recover()) }()
+		s.Run()
+		return ""
+	}
+	want := run(func(c *Config) { c.DisableIdleSkip = true })
+	if !strings.Contains(want, "no retirement progress for 10000 cycles at cycle") {
+		t.Fatalf("lock-step did not trip the watchdog: %q", want)
+	}
+	for _, k := range []int{1, 2} {
+		if got := run(func(c *Config) { c.Clusters = k }); got != want {
+			t.Errorf("event loop (%d clusters) watchdog diverged:\nlock-step: %q\nevents:    %q", k, want, got)
 		}
 	}
 }

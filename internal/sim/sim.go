@@ -24,24 +24,25 @@ type Config struct {
 	// WatchdogCycles panics if no instruction retires anywhere for this
 	// long (deadlock detector; 0 disables).
 	WatchdogCycles uint64
-	// DisableIdleSkip forces the naive lock-step loop that ticks every
-	// cycle, instead of jumping the clock over provably-idle stretches.
-	// Results are bit-exact either way; the flag exists so the bench
-	// harness (cmd/bench) can measure the event-horizon scheduler's
-	// speedup, and as a diagnostic bisect knob. It also disables the
-	// parallel runner (Clusters), since that builds on the same horizons.
+	// DisableIdleSkip forces the lock-step loop, which ticks every node
+	// every cycle, instead of the event loop's per-node clocks. Results are
+	// bit-exact either way; the flag exists so the bench harness
+	// (cmd/bench) can measure the event loop's speedup, and as the
+	// bisection oracle. It also builds the system unclustered.
 	DisableIdleSkip bool
-	// Clusters >= 2 selects the conservative parallel runner: the torus is
-	// partitioned into that many node clusters, each simulated by its own
-	// goroutine over its own network shard with per-node local clocks,
-	// synchronized at epoch barriers derived from the minimum cross-cluster
-	// message latency (DESIGN.md §7). Results are bit-exact against both
-	// serial loops (TestParallelBitExact). The runner falls back to the
-	// serial loops when Clusters < 2, when the system has fewer nodes than
-	// clusters, when DisableIdleSkip is set, or when the network uses
-	// jitter (whose RNG is consumed in global send order that shards cannot
-	// reproduce); setting DebugHook — or enabling coherence tracing — on a
-	// clustered system selects the sharded lock-step loop, so per-cycle
+	// Clusters selects how many node clusters the event loop runs
+	// (DESIGN.md §7). Every value below 2 means one cluster: the
+	// whole-torus network with per-node local clocks, driven inline with
+	// no goroutine. Clusters >= 2 partitions the torus into that many
+	// clusters, each simulated by its own goroutine over its own network
+	// shard, synchronized at epoch barriers derived from the minimum
+	// cross-cluster message latency. Results are bit-exact against the
+	// lock-step loop at every value (TestParallelBitExact). One cluster is
+	// used instead when the system has fewer nodes than clusters, when
+	// DisableIdleSkip is set, or when the network uses jitter (whose RNG is
+	// consumed in global send order, which only the whole-torus network
+	// reproduces). Setting DebugHook, or enabling coherence tracing,
+	// selects the lock-step loop at any cluster count, so per-cycle
 	// observation hooks see every cycle in order from one goroutine.
 	Clusters int
 }
@@ -67,7 +68,7 @@ type Result struct {
 	// Net is the interconnect's link-contention telemetry (all-zero when
 	// Config.Net.LinkBandwidth is 0). Unlike RunnerStats it is part of
 	// Result because it is simulated machine state, deterministic across
-	// all three runners: link reservations are per-source-node, so every
+	// both runners: link reservations are per-source-node, so every
 	// runner computes identical occupancy, and the per-shard counters
 	// merge order-independently (stats.NetStats).
 	Net stats.NetStats
@@ -76,33 +77,30 @@ type Result struct {
 // System is one assembled machine.
 type System struct {
 	cfg   Config
-	net   *network.Network // whole torus; nil when the system is sharded
 	nodes []*node.Node
 	now   uint64
 
-	// Sharded construction (Config.Clusters >= 2): shards[c] is cluster c's
-	// network partition, clusterNodes[c] its node indices (ascending,
-	// contiguous), and clusterOf[id] the owning cluster. Empty for serial
-	// systems.
+	// shards[c] is cluster c's network (the whole torus when there is one
+	// cluster), clusterNodes[c] its node indices (ascending, contiguous),
+	// and clusterOf[id] the owning cluster.
 	shards       []*network.Network
 	clusterNodes [][]int
 	clusterOf    []int
 	xferScratch  [][]network.Message // barrier-exchange regrouping buffers
 
-	// runnerStats accumulates parallel-runner telemetry (kept out of Result
-	// so all three runners produce deeply-equal Results).
+	// runnerStats accumulates event-loop telemetry (kept out of Result so
+	// both runners produce deeply-equal Results).
 	runnerStats stats.RunnerStats
 
-	// DebugHook, when set, runs after every ticked cycle (diagnostics,
-	// trace dumps). Skipped cycles do not invoke it. On a clustered system
-	// it forces the sharded lock-step loop, so the hook observes every
+	// DebugHook, when set, runs after every cycle (diagnostics, trace
+	// dumps). It selects the lock-step loop, so the hook observes every
 	// cycle in order.
 	DebugHook func(now uint64)
 }
 
-// effectiveClusters resolves Config.Clusters against the fallback rules
-// documented on the field.
-func effectiveClusters(cfg Config, nnodes int) int {
+// clusterCount resolves Config.Clusters against the rules documented on
+// the field.
+func clusterCount(cfg Config, nnodes int) int {
 	k := cfg.Clusters
 	if k < 2 || nnodes < k || cfg.DisableIdleSkip || cfg.Net.Jitter > 0 {
 		return 1
@@ -117,12 +115,11 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 	if len(programs) != nnodes {
 		panic(fmt.Sprintf("sim: %d programs for %d nodes", len(programs), nnodes))
 	}
-	s := &System{cfg: cfg}
-	k := effectiveClusters(cfg, nnodes)
-	netFor := func(i int) *network.Network { return s.net }
-	if k >= 2 {
-		s.clusterNodes = partition(nnodes, k)
-		s.clusterOf = make([]int, nnodes)
+	k := clusterCount(cfg, nnodes)
+	s := &System{cfg: cfg, clusterNodes: partition(nnodes, k), clusterOf: make([]int, nnodes)}
+	if k == 1 {
+		s.shards = []*network.Network{network.New(cfg.Net)}
+	} else {
 		for c, ids := range s.clusterNodes {
 			owned := make([]bool, nnodes)
 			for _, id := range ids {
@@ -131,9 +128,6 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 			}
 			s.shards = append(s.shards, network.NewShard(cfg.Net, owned))
 		}
-		netFor = func(i int) *network.Network { return s.shards[s.clusterOf[i]] }
-	} else {
-		s.net = network.New(cfg.Net)
 	}
 	for i := 0; i < nnodes; i++ {
 		nc := cfg.Node
@@ -143,15 +137,15 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 		if regs != nil {
 			r = regs[i]
 		}
-		s.nodes = append(s.nodes, node.New(nc, netFor(i), programs[i], r))
+		s.nodes = append(s.nodes, node.New(nc, s.shards[s.clusterOf[i]], programs[i], r))
 	}
 	return s
 }
 
 // partition splits n node indices into k contiguous, balanced clusters. On
 // the row-major torus, contiguous index ranges are whole rows (plus row
-// fragments), so the minimum cross-cluster hop distance — the parallel
-// runner's lookahead — stays at one hop rather than collapsing to zero
+// fragments), so the minimum cross-cluster hop distance — the event
+// loop's lookahead — stays at one hop rather than collapsing to zero
 // (self-messages, the only sub-hop latency, are always intra-cluster).
 func partition(n, k int) [][]int {
 	base, rem := n/k, n%k
@@ -204,129 +198,78 @@ func (s *System) ReadWord(a memtypes.Addr) memtypes.Word {
 }
 
 // Run executes the simulation until every node quiesces (or limits hit),
-// selecting one of three bit-exact runners (DESIGN.md §6-§7):
+// selecting one of two bit-exact runners (DESIGN.md §6-§7):
 //
-//   - lock-step (DisableIdleSkip): tick every component every cycle;
-//   - event-horizon serial (default): ask every component for the earliest
-//     future cycle at which it could change state on its own, and jump the
-//     clock over stretches in which the whole machine is provably idle;
-//   - conservative parallel (Clusters >= 2): per-node local clocks, one
-//     goroutine per node cluster over a network shard, epoch barriers at
-//     the minimum cross-cluster latency.
+//   - lock-step (DisableIdleSkip, DebugHook, coherence tracing): tick
+//     every node every cycle — the bisection oracle;
+//   - the event loop (everything else): per-node local clocks, where a
+//     node ticks only at cycles its NextEvent hint or an arriving message
+//     says it could change state; one inline cluster by default,
+//     Config.Clusters goroutines over network shards with epoch barriers
+//     at the minimum cross-cluster latency otherwise.
 //
-// Skipped cycles are provably state-preserving, so all three produce
-// deeply-equal Results (TestIdleSkipBitExact, TestParallelBitExact,
-// TestGoldenResults).
+// Skipped node-cycles are provably state-preserving, so both produce
+// deeply-equal Results (TestParallelBitExact, TestGoldenResults).
 func (s *System) Run() Result {
-	if len(s.shards) > 0 {
-		// Per-cycle observation hooks (DebugHook, coherence tracing) need
-		// cycles in order from one goroutine; the sharded lock-step loop
-		// keeps their contract on clustered systems.
-		if s.DebugHook != nil || coherence.TraceAddr != 0 {
-			return s.runLockstepSharded()
-		}
-		return s.runParallel()
+	if s.cfg.DisableIdleSkip || s.DebugHook != nil || coherence.TraceAddr != 0 {
+		return s.runLockstep()
 	}
-	return s.runSerial()
+	return s.runEvents()
 }
 
-// runSerial is the single-threaded cycle loop: lock-step when
-// DisableIdleSkip is set, event-horizon scheduled otherwise.
-func (s *System) runSerial() Result {
-	var lastRetired uint64
-	var lastProgress uint64
+// runLockstep is the naive per-cycle loop: tick every network and node
+// each cycle (ascending node ID), exchange cross-shard messages at cycle
+// end. Cross-shard messages sent at cycle t arrive at t+latency >= t+1,
+// so an end-of-cycle exchange precedes every possible delivery.
+func (s *System) runLockstep() Result {
+	var lastRetired, lastProgress uint64
 	for {
-		s.now++
-		s.net.Tick(s.now)
+		s.step()
+		if s.DebugHook != nil {
+			s.DebugHook(s.now)
+		}
+		done := true
 		for _, n := range s.nodes {
-			n.Tick(s.now)
+			if !n.Finished() {
+				done = false
+				break
+			}
 		}
-		if res, done := s.cycleEpilogue(&lastRetired, &lastProgress); done {
-			return res
+		if done {
+			return s.result(true)
 		}
-		if !s.cfg.DisableIdleSkip {
-			s.idleSkip(lastProgress)
+		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
+			return s.result(false)
+		}
+		if s.cfg.WatchdogCycles > 0 {
+			if total := s.totalRetired(); total != lastRetired {
+				lastRetired = total
+				lastProgress = s.now
+			} else if s.now-lastProgress > s.cfg.WatchdogCycles {
+				s.watchdogPanic()
+			}
 		}
 	}
 }
 
-// cycleEpilogue runs the per-cycle loops' shared end-of-cycle protocol —
-// DebugHook, the all-finished check, MaxCycles truncation, and the
-// retirement watchdog — returning (result, true) when the run ends this
-// cycle. Both serial loops and the sharded lock-step loop share it so the
-// termination semantics cannot drift apart (the three-runner bit-exactness
-// contract pins them).
-func (s *System) cycleEpilogue(lastRetired, lastProgress *uint64) (Result, bool) {
-	if s.DebugHook != nil {
-		s.DebugHook(s.now)
+// step simulates one lock-step cycle.
+func (s *System) step() {
+	s.now++
+	for _, sh := range s.shards {
+		sh.Tick(s.now)
 	}
-	done := true
 	for _, n := range s.nodes {
-		if !n.Finished() {
-			done = false
-			break
-		}
+		n.Tick(s.now)
 	}
-	if done {
-		return s.result(true), true
-	}
-	if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-		return s.result(false), true
-	}
-	if s.cfg.WatchdogCycles > 0 {
-		total := s.totalRetired()
-		if total != *lastRetired {
-			*lastRetired = total
-			*lastProgress = s.now
-		} else if s.now-*lastProgress > s.cfg.WatchdogCycles {
-			panic(fmt.Sprintf("sim: no retirement progress for %d cycles at cycle %d\n%s",
-				s.cfg.WatchdogCycles, s.now, s.debugState()))
-		}
-	}
-	return Result{}, false
+	s.exchange()
 }
 
-// idleSkip jumps the clock to one cycle before the next event when every
-// component reports no possible work until then. Per-cycle bookkeeping for
-// the skipped stretch (cycle-class accounting, wrong-path fetch counters)
-// is replayed in bulk by each node.
-func (s *System) idleSkip(lastProgress uint64) {
-	horizon := s.net.NextEvent()
-	if horizon <= s.now+1 {
-		return
-	}
-	for _, n := range s.nodes {
-		e := n.NextEvent()
-		if e <= s.now+1 {
-			return
-		}
-		if e < horizon {
-			horizon = e
-		}
-	}
-	// Never jump past the run bounds: MaxCycles must truncate, and the
-	// watchdog must fire, at exactly the same cycle as the lock-step loop.
-	if s.cfg.MaxCycles > 0 && s.cfg.MaxCycles < horizon {
-		horizon = s.cfg.MaxCycles
-	}
-	if s.cfg.WatchdogCycles > 0 {
-		if deadline := lastProgress + s.cfg.WatchdogCycles + 1; deadline < horizon {
-			horizon = deadline
-		}
-	}
-	if horizon == memtypes.NoEvent {
-		// A global quiescence failure with no bounds configured: spin like
-		// the lock-step loop rather than inventing a termination cycle.
-		return
-	}
-	if horizon <= s.now+1 {
-		return
-	}
-	k := horizon - s.now - 1
-	for _, n := range s.nodes {
-		n.SkipCycles(k)
-	}
-	s.now += k
+// watchdogPanic reports a run that retired nothing for WatchdogCycles
+// cycles, ending at s.now. Both runners raise it at the same cycle with
+// the same message (TestWatchdogExact).
+func (s *System) watchdogPanic() {
+	panic(fmt.Sprintf("sim: no retirement progress for %d cycles at cycle %d\n%s",
+		s.cfg.WatchdogCycles, s.now, s.debugState()))
 }
 
 func (s *System) totalRetired() uint64 {
@@ -353,12 +296,8 @@ func (s *System) result(finished bool) Result {
 		Cycles:   s.now,
 		Finished: finished,
 	}
-	if s.net != nil {
-		r.Net = s.net.Contention
-	} else {
-		for _, sh := range s.shards { // ascending shard order; Merge is order-independent anyway
-			r.Net.Merge(&sh.Contention)
-		}
+	for _, sh := range s.shards { // ascending shard order; Merge is order-independent anyway
+		r.Net.Merge(&sh.Contention)
 	}
 	var specCycles, totalCycles uint64
 	for _, n := range s.nodes {

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -53,7 +54,7 @@ type journalRecord struct {
 // cache, no journal dir) swallows every call, so callers never branch.
 type journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	f    io.WriteCloser // the O_APPEND WAL file
 	path string
 	err  error // first write error; later records are dropped, not retried
 }

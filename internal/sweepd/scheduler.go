@@ -61,20 +61,29 @@ func (s *Server) runCell(c *Campaign, i int) {
 			lastErr = fmt.Errorf("attempt %d exceeded the %v cell deadline", attempt, timeout)
 		case err != nil:
 			lastErr = err
-		case shared:
-			r := v.(invisifence.Result)
-			c.transition(i, cellDeduped, &r, "")
-			s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsDeduped++ })
-			return
 		default:
-			r := v.(invisifence.Result)
-			c.transition(i, cellSimulated, &r, "")
-			s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsSimulated++ })
+			fr := v.(flightResult)
+			to, count := cellSimulated, func(t *stats.ServerStats) { t.CellsSimulated++ }
+			switch {
+			case shared:
+				to, count = cellDeduped, func(t *stats.ServerStats) { t.CellsDeduped++ }
+			case fr.cached:
+				to, count = cellCached, func(t *stats.ServerStats) { t.CellsCached++ }
+			}
+			c.transition(i, to, &fr.res, "")
+			s.finishCampaign(c, count)
 			return
 		}
 	}
 	c.transition(i, cellFailed, nil, lastErr.Error())
 	s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsFailed++ })
+}
+
+// flightResult is a cell flight's value: the result, and whether the
+// leader found it in the cache instead of simulating it.
+type flightResult struct {
+	res    invisifence.Result
+	cached bool
 }
 
 // errCellTimeout marks a watchdog expiry (distinguished from simulation
@@ -95,6 +104,13 @@ func (s *Server) attempt(c *Campaign, i int, key string, timeout time.Duration) 
 	ch := make(chan outcome, 1)
 	go func() {
 		v, shared, err := s.flight.Do(key, func() (any, error) {
+			// Re-check the cache as leader: a flight for this key may have
+			// published and ended between runCell's cache check and this
+			// Do, and simulating it again would double the work.
+			var r invisifence.Result
+			if ok, _ := s.cache.Get(key, &r); ok {
+				return flightResult{res: r, cached: true}, nil
+			}
 			r, err := s.safeRun(c.jobs[i])
 			if err != nil {
 				return nil, err
@@ -104,7 +120,7 @@ func (s *Server) attempt(c *Campaign, i int, key string, timeout time.Duration) 
 			// re-simulation), but ordered so a drain that returns after
 			// this cell finished implies the result is on disk.
 			_ = s.cache.Put(key, r)
-			return r, nil
+			return flightResult{res: r}, nil
 		})
 		ch <- outcome{v, shared, err}
 	}()

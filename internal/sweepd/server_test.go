@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -296,6 +297,115 @@ func TestSingleFlightDedupe(t *testing.T) {
 		if got := getTable(t, ts.URL, id); got != want {
 			t.Fatalf("campaign %s table differs from %s", id, ids[0])
 		}
+	}
+}
+
+// gatedWriter is a journal writer that parks the first cell "start"
+// record until released, holding that cell between its pre-flight cache
+// check and its flight.
+type gatedWriter struct {
+	io.WriteCloser
+	parked, release chan struct{}
+	once            sync.Once
+}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	if bytes.Contains(p, []byte(`"t":"start"`)) {
+		w.once.Do(func() {
+			close(w.parked)
+			<-w.release
+		})
+	}
+	return w.WriteCloser.Write(p)
+}
+
+// waitCampaign polls a campaign until it is terminal.
+func waitCampaign(t *testing.T, c *Campaign) StatusResponse {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		st := c.Status()
+		if st.State == "done" || st.State == "failed" {
+			return st
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("campaign %s never finished: %+v", st.ID, st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightLeaderRechecksCache is the regression test for the
+// double-simulation window: a cell misses the cache and, before it joins
+// the flight registry, another campaign's flight for the same cell
+// publishes and ends. The late cell then leads a new flight; it must find
+// the published result instead of simulating the cell a second time.
+func TestFlightLeaderRechecksCache(t *testing.T) {
+	early := tinySpec() // cells sc/seed 1 and invisi-sc/seed 1
+	early.Seeds = []int64{1}
+	late := early // cell sc/seed 1 only
+	late.Variants = []string{"sc"}
+	const distinct = 2
+
+	var runs atomic.Int64
+	started := make(chan struct{}, 4)
+	gates := map[string]chan struct{}{"sc": make(chan struct{}), "Invisi_sc": make(chan struct{})}
+	srv, err := New(Options{
+		Workers:     2,
+		CacheDir:    t.TempDir(),
+		CellTimeout: -1,
+		Run: func(cfg invisifence.Config) (invisifence.Result, error) {
+			runs.Add(1)
+			started <- struct{}{}
+			<-gates[cfg.Variant.Name]
+			return fakeResult(cfg), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Shutdown()
+	submit := func(spec invisifence.SweepSpec) *Campaign {
+		jobs, err := spec.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := srv.Submit(spec, jobs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+
+	a := submit(early)
+	<-started // both workers are now inside one of a's cells
+	<-started
+	b := submit(late) // queued: no worker is free
+	w := &gatedWriter{parked: make(chan struct{}), release: make(chan struct{})}
+	b.jl.mu.Lock()
+	w.WriteCloser, b.jl.f = b.jl.f, w
+	b.jl.mu.Unlock()
+
+	// Free one worker: it takes b's cell, misses the cache (a's sc cell
+	// is still running), and parks on the cell's start record.
+	close(gates["Invisi_sc"])
+	<-w.parked
+	// a's sc cell publishes and its flight ends; only then may b's cell
+	// join the flight registry.
+	close(gates["sc"])
+	if st := waitCampaign(t, a); st.State != "done" {
+		t.Fatalf("early campaign: %+v", st)
+	}
+	close(w.release)
+	st := waitCampaign(t, b)
+	if st.State != "done" || st.Cells.Cached != 1 {
+		t.Fatalf("late campaign: %+v (want its cell counted as cached)", st)
+	}
+	if got := runs.Load(); got != distinct {
+		t.Errorf("%d simulations for %d distinct cells", got, distinct)
+	}
+	if got := srv.Stats().CellsSimulated; got != distinct {
+		t.Errorf("CellsSimulated = %d, want %d distinct cells", got, distinct)
 	}
 }
 

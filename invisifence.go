@@ -206,18 +206,20 @@ type Config struct {
 	// MaxCycles bounds the run (0 = the runner's generous default).
 	MaxCycles uint64
 	// DisableIdleSkip runs the naive lock-step cycle loop instead of the
-	// event-horizon scheduler. Simulated results are bit-identical either
+	// event loop's per-node clocks. Simulated results are bit-identical either
 	// way (enforced by the golden tests), so the flag is excluded from
 	// cache keys; it exists for cmd/bench speedup measurements and as a
 	// diagnostic bisect knob.
 	DisableIdleSkip bool `json:"-"`
-	// Clusters >= 2 selects the conservative parallel runner: per-node
-	// local clocks with one goroutine per node cluster, synchronized at
-	// epoch barriers (DESIGN.md §7). Results are bit-identical to the
-	// serial loops (TestParallelBitExact), so — like DisableIdleSkip — the
-	// knob is a scheduler selection, excluded from cache keys. Values the
-	// runner cannot honor (more clusters than nodes, jitter, lock-step)
-	// fall back to the serial scheduler.
+	// Clusters sets the event loop's node-cluster count (DESIGN.md §7).
+	// Below 2 (the default) the run uses one cluster: per-node local clocks
+	// over the whole torus, on the calling goroutine. Clusters >= 2 gives
+	// each cluster its own goroutine and network shard, synchronized at
+	// epoch barriers. Results are bit-identical at every value
+	// (TestParallelBitExact), so — like DisableIdleSkip — the knob is a
+	// scheduler selection, excluded from cache keys. Values the event loop
+	// cannot split on (more clusters than nodes, jitter, lock-step) run as
+	// one cluster.
 	Clusters int `json:"-"`
 }
 
