@@ -3,13 +3,11 @@ package invisifence
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"invisifence/internal/consistency"
 	"invisifence/internal/runcache"
 	"invisifence/internal/stats"
-	"invisifence/internal/sweep"
 	"invisifence/internal/workload"
 )
 
@@ -57,18 +55,17 @@ func (o *ExpOptions) fill() {
 	}
 }
 
-// Campaign runs and memoizes simulations so that figures sharing
-// configurations (8, 9, 10) reuse results. It layers an in-process memo
-// (per workload/variant cell) over the persistent internal/runcache store,
-// so with a CacheDir set, results survive the process and a rerun of
-// AllFigures re-simulates nothing.
+// Campaign runs the simulations behind the figure drivers. Every cell
+// resolves through the internal/runcache store keyed by ResultKey, so
+// figures sharing configurations (8, 9, 10) reuse results, concurrent
+// requests for one cell simulate it once, and with a CacheDir set a
+// rerun of AllFigures re-simulates nothing.
 type Campaign struct {
 	opts     ExpOptions
 	pc       *runcache.Cache // persistent layer (memory-only if CacheDir == "")
 	cacheErr error           // why CacheDir could not be opened, if it couldn't
 
 	mu        sync.Mutex
-	cache     map[string][]Result // key: workload/variant -> per-seed results
 	simulated int
 }
 
@@ -81,7 +78,7 @@ func NewCampaign(opts ExpOptions) *Campaign {
 	if err != nil {
 		pc, _ = runcache.Open("")
 	}
-	return &Campaign{opts: opts, pc: pc, cacheErr: err, cache: make(map[string][]Result)}
+	return &Campaign{opts: opts, pc: pc, cacheErr: err}
 }
 
 // Options returns the campaign's (filled-in) options.
@@ -96,14 +93,22 @@ func (c *Campaign) CacheErr() error { return c.cacheErr }
 func (c *Campaign) CacheStats() runcache.Stats { return c.pc.Stats() }
 
 // Simulated returns how many simulations this campaign actually executed
-// (cells served from the persistent cache don't count).
+// (cells served from the cache or shared with a concurrent request don't
+// count).
 func (c *Campaign) Simulated() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.simulated
 }
 
-func key(wl string, v Variant) string { return wl + "/" + v.Name }
+// count records one resolved cell.
+func (c *Campaign) count(_ Config, origin runcache.Origin) {
+	if origin == runcache.Computed {
+		c.mu.Lock()
+		c.simulated++
+		c.mu.Unlock()
+	}
+}
 
 // cellConfig assembles the full run configuration for one (workload,
 // variant, seed) cell; it is also the persistent cache key's content.
@@ -119,51 +124,31 @@ func (c *Campaign) cellConfig(wl string, v Variant, seed int64) Config {
 
 // Results returns the per-seed results for one cell, running them if needed.
 func (c *Campaign) Results(wl string, v Variant) ([]Result, error) {
-	c.mu.Lock()
-	if rs, ok := c.cache[key(wl, v)]; ok {
-		c.mu.Unlock()
-		return rs, nil
-	}
-	c.mu.Unlock()
 	rs := make([]Result, len(c.opts.Seeds))
 	for i, seed := range c.opts.Seeds {
 		cfg := c.cellConfig(wl, v, seed)
-		ckey := resultKey(cfg)
-		if ok, _ := c.pc.Get(ckey, &rs[i]); ok {
-			continue
-		}
-		r, err := Run(cfg)
+		r, origin, err := resolveCell(c.pc, cfg)
 		if err != nil {
 			return nil, err
 		}
-		_ = c.pc.Put(ckey, r) // best-effort; failure only costs a future re-run
-		c.mu.Lock()
-		c.simulated++
-		c.mu.Unlock()
+		c.count(cfg, origin)
 		rs[i] = r
 	}
-	c.mu.Lock()
-	c.cache[key(wl, v)] = rs
-	c.mu.Unlock()
 	return rs, nil
 }
 
-// Prefetch runs all (workload, variant) cells on a bounded worker pool.
+// Prefetch runs every (workload, variant, seed) cell on a bounded worker
+// pool.
 func (c *Campaign) Prefetch(variants []Variant) error {
-	type job struct {
-		wl string
-		v  Variant
-	}
-	var jobs []job
+	var cfgs []Config
 	for _, wl := range c.opts.Workloads {
 		for _, v := range variants {
-			jobs = append(jobs, job{wl, v})
+			for _, seed := range c.opts.Seeds {
+				cfgs = append(cfgs, c.cellConfig(wl, v, seed))
+			}
 		}
 	}
-	_, err := sweep.Run(jobs, sweep.Options{Workers: c.opts.Parallel}, func(j job) (struct{}, error) {
-		_, err := c.Results(j.wl, j.v)
-		return struct{}{}, err
-	})
+	_, err := resolveCells(c.pc, cfgs, c.opts.Parallel, c.count)
 	return err
 }
 
@@ -553,16 +538,4 @@ func AllFigures(c *Campaign) ([]*Table, error) {
 		out = append(out, tbl)
 	}
 	return out, nil
-}
-
-// sortedCacheKeys helps tests introspect a campaign deterministically.
-func (c *Campaign) sortedCacheKeys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, len(c.cache))
-	for k := range c.cache {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

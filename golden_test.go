@@ -102,7 +102,7 @@ func TestGoldenResults(t *testing.T) {
 				Workload: c.Workload,
 				Variant:  c.Variant,
 				Scale:    c.Scale,
-				CacheKey: resultKey(cfg),
+				CacheKey: ResultKey(cfg),
 				Result:   res,
 			})
 		}
@@ -135,7 +135,7 @@ func TestGoldenResults(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%s@%.2g", e.Workload, e.Variant, e.Scale), func(t *testing.T) {
 			t.Parallel()
 			cfg := goldenConfig(goldenCase{e.Workload, e.Variant, e.Scale})
-			if key := resultKey(cfg); key != e.CacheKey {
+			if key := ResultKey(cfg); key != e.CacheKey {
 				t.Errorf("cache key drifted: got %s want %s", key, e.CacheKey)
 			}
 			res, err := Run(cfg)

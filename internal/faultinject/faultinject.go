@@ -1,7 +1,7 @@
 // Package faultinject is a deterministic, seeded fault-injection framework
 // for the service layer's chaos tests. A Plan arms faults — errors, panics,
 // delays, payload corruption — at named sites (seams such as the runcache's
-// disk reads, a Flight leader, a Pool worker, or sweepd's cell-simulate
+// disk reads, a flight leader, a Pool worker, or sweepd's cell-simulate
 // hook) by hit count: rule K fires on probe numbers [After, After+Count) of
 // its kind at its site, so the same plan replays the same fault schedule on
 // every run with the same probe order.

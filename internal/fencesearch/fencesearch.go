@@ -16,9 +16,10 @@
 // seeds (network jitter, start skew, variable placement) under the target
 // implementation; "sufficient" means the target outcome appears in zero
 // runs. Evaluations fan out over the internal/sweep worker pool with
-// deterministic result ordering, and are deduplicated through a
-// content-addressed internal/runcache keyed by the fenced programs
-// themselves — a repeated query performs zero simulations.
+// deterministic result ordering, and each resolves through
+// runcache.Resolve under a content-addressed key of the fenced programs
+// themselves: concurrent evaluations of one key simulate once, and a
+// repeated query performs zero simulations.
 package fencesearch
 
 import (
@@ -123,7 +124,8 @@ type Result struct {
 	Models []ModelResult
 	// Evals / Simulated / CacheHits / Runs are traffic totals: candidate
 	// evaluations, evaluations that actually simulated, evaluations served
-	// from the cache, and individual simulator runs executed. Static counts
+	// from the cache or shared with a concurrent evaluation of the same
+	// key, and individual simulator runs executed. Static counts
 	// evaluations answered by the delay-set certificate without touching
 	// the simulator or the cache (always 0 unless Pruned).
 	Evals     int
@@ -399,8 +401,8 @@ func (s *searcher) evalBatch(jobs []job) ([]evalOutcome, error) {
 	return sweep.Run(jobs, sweep.Options{Workers: workers}, s.evaluate)
 }
 
-// evaluate runs one candidate: insert the fences, consult the cache, and
-// only simulate on a miss.
+// evaluate runs one candidate: insert the fences, then resolve the
+// evaluation through the cache, simulating only on a miss.
 func (s *searcher) evaluate(j job) (evalOutcome, error) {
 	spec := s.specs[j.cfg]
 	perThread := make(map[int][]int)
@@ -420,26 +422,27 @@ func (s *searcher) evaluate(j job) (evalOutcome, error) {
 	}
 	key := runcache.MustKey(evalVersion, spec.Name, spec.Model, spec.Engine,
 		s.opts.Seeds, s.in.Jitter, s.in.Target, s.in.Slots, s.in.Finals, keyProgs)
-	var out evalOutcome
-	if ok, err := s.cache.Get(key, &out); err == nil && ok {
-		s.mu.Lock()
-		s.cacheHits++
-		s.mu.Unlock()
-		return out, nil
+	out, origin, err := runcache.Resolve(s.cache, key, func() (evalOutcome, error) {
+		h := litmus.Harness{
+			Name:   fmt.Sprintf("%s%v", s.in.Name, s.sitesOf(j.comb)),
+			Slots:  s.in.Slots,
+			Finals: s.in.Finals,
+			Bodies: bodies,
+			Jitter: s.in.Jitter,
+		}
+		hist := h.Sweep(spec, s.opts.Seeds)
+		return evalOutcome{Runs: s.opts.Seeds, Matches: litmus.CountMatches(hist, s.in.Target)}, nil
+	})
+	if err != nil {
+		return evalOutcome{}, err
 	}
-	h := litmus.Harness{
-		Name:   fmt.Sprintf("%s%v", s.in.Name, s.sitesOf(j.comb)),
-		Slots:  s.in.Slots,
-		Finals: s.in.Finals,
-		Bodies: bodies,
-		Jitter: s.in.Jitter,
-	}
-	hist := h.Sweep(spec, s.opts.Seeds)
-	out = evalOutcome{Runs: s.opts.Seeds, Matches: litmus.CountMatches(hist, s.in.Target)}
-	_ = s.cache.Put(key, out) // best-effort, like the rest of runcache
 	s.mu.Lock()
-	s.simulated++
-	s.runs += out.Runs
+	if origin == runcache.Computed {
+		s.simulated++
+		s.runs += out.Runs
+	} else {
+		s.cacheHits++
+	}
 	s.mu.Unlock()
 	return out, nil
 }

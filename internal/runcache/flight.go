@@ -8,20 +8,21 @@ import (
 	"invisifence/internal/faultinject"
 )
 
-// SiteLeader fires in the flight leader just before it executes its
-// function (panic = a poisoned computation, delay = a slow leader
-// stalling its followers) when an injector is armed.
+// SiteLeader fires in the flight leader just before it resolves its key
+// (panic = a poisoned computation, delay = a slow leader stalling its
+// followers) when an injector is armed.
 const SiteLeader = "flight.leader"
 
-// FlightStats counts single-flight traffic since NewFlight.
+// FlightStats counts single-flight traffic since Open.
 type FlightStats struct {
-	// Leaders counts calls that executed their function.
+	// Leaders counts Resolve calls that led a flight: they checked the
+	// cache and, on a miss, ran their function.
 	Leaders uint64
-	// Followers counts calls that waited on a leader's in-flight
-	// execution instead of running their own: the work deduplicated.
+	// Followers counts Resolve calls that waited on a leader's in-flight
+	// resolution instead of running their own: the work deduplicated.
 	Followers uint64
 	// Panics counts leader functions that panicked (converted to errors
-	// for every waiter; see Flight.Do).
+	// for every waiter; see Resolve).
 	Panics uint64
 }
 
@@ -31,8 +32,8 @@ func (s FlightStats) String() string {
 		s.Leaders, s.Followers, s.Panics)
 }
 
-// PanicError is the error every caller of Do receives when the leader's
-// function panicked.
+// PanicError is the error every caller of Resolve receives when the
+// leader's function panicked.
 type PanicError struct {
 	// Key is the flight key whose leader panicked.
 	Key string
@@ -45,6 +46,51 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("runcache: in-flight computation for %.12s… panicked: %v", e.Key, e.Value)
 }
 
+// Origin reports how Resolve produced a value.
+type Origin int
+
+const (
+	Computed Origin = iota // led the flight, missed the cache, ran fn and published
+	Cached                 // led the flight and found the value in the cache
+	Shared                 // joined another caller's flight and shares its outcome
+)
+
+// Resolve returns the value stored under key, computing it with fn at
+// most once across all concurrent callers of the same key on c.
+//
+// The rule is flight first: the caller joins the key's flight, and only
+// the leader consults the cache. On a miss the leader runs fn and Puts
+// the result (best-effort) before the flight releases its followers. No
+// cache check happens outside the flight, so a call that arrives after
+// a partner flight published and ended leads a new flight and finds the
+// published value instead of computing it again.
+//
+// An error from fn is shared with the followers and nothing is Put. A
+// panic in fn is recovered, counted in FlightStats.Panics, and delivered
+// to the leader and every follower as a *PanicError, so one poisoned
+// computation cannot take down unrelated waiters or the process.
+func Resolve[T any](c *Cache, key string, fn func() (T, error)) (T, Origin, error) {
+	origin := Computed
+	v, shared, err := c.flight.do(key, func() (any, error) {
+		var hit T
+		if ok, _ := c.Get(key, &hit); ok {
+			origin = Cached
+			return hit, nil
+		}
+		v, err := fn()
+		if err != nil {
+			return nil, err
+		}
+		_ = c.Put(key, v)
+		return v, nil
+	})
+	if shared {
+		origin = Shared
+	}
+	t, _ := v.(T) // v is nil on error: return the zero T
+	return t, origin, err
+}
+
 // call is one in-flight computation.
 type call struct {
 	done chan struct{}
@@ -52,54 +98,36 @@ type call struct {
 	err  error
 }
 
-// Flight deduplicates concurrent computations of the same key: while one
+// flight deduplicates concurrent computations of the same key: while one
 // caller (the leader) runs the function, every other caller of the same
 // key (the followers) blocks until the leader finishes and then shares
-// its value and error. Keys are the same canonical content-addressed
-// strings the Cache uses, so a Flight in front of a Cache closes the
-// window the cache alone leaves open — two workers both missing on a key
-// and simulating it twice.
-//
-// Unlike most single-flight implementations, a leader panic does not
-// propagate: it is recovered, counted in FlightStats.Panics, and
-// surfaced to the leader and every follower as a *PanicError. A
-// long-running server cannot afford one poisoned computation taking
-// down unrelated waiters (or the process), and the error form lets the
-// caller mark just that key failed.
-//
-// The zero Flight is ready to use.
-type Flight struct {
+// its value and error. Every Cache owns one, for Resolve. The zero
+// flight is ready to use.
+type flight struct {
 	inj *faultinject.Injector
 
 	mu       sync.Mutex
 	inflight map[string]*call
-	stats    FlightStats
+	counts   FlightStats
 }
 
-// SetInjector arms fault injection at the leader seam (nil keeps the
-// disarmed no-op). Call before first use.
-func (f *Flight) SetInjector(in *faultinject.Injector) { f.inj = in }
-
-// Do returns the result of computing fn for key, executing it at most
-// once across all concurrent callers of the same key. shared reports
-// that this caller was a follower (the value came from another caller's
-// execution). Results are not memoized: once the last waiter is
-// released, the next Do for the key runs fn again — persistence across
-// completed flights is the Cache's job.
-func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err error) {
+// do returns the result of computing fn for key, executing it at most
+// once across all concurrent callers of the same key; shared reports a
+// follower. A panic in fn becomes a *PanicError for every caller.
+func (f *flight) do(key string, fn func() (any, error)) (v any, shared bool, err error) {
 	f.mu.Lock()
 	if f.inflight == nil {
 		f.inflight = make(map[string]*call)
 	}
 	if c, ok := f.inflight[key]; ok {
-		f.stats.Followers++
+		f.counts.Followers++
 		f.mu.Unlock()
 		<-c.done
 		return c.val, true, c.err
 	}
 	c := &call{done: make(chan struct{})}
 	f.inflight[key] = c
-	f.stats.Leaders++
+	f.counts.Leaders++
 	f.mu.Unlock()
 
 	func() {
@@ -107,7 +135,7 @@ func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err
 			if p := recover(); p != nil {
 				c.err = &PanicError{Key: key, Value: p}
 				f.mu.Lock()
-				f.stats.Panics++
+				f.counts.Panics++
 				f.mu.Unlock()
 			}
 		}()
@@ -125,9 +153,8 @@ func (f *Flight) Do(key string, fn func() (any, error)) (v any, shared bool, err
 	return c.val, false, c.err
 }
 
-// InFlight returns the keys currently executing, sorted, a snapshot of
-// the in-flight registry for telemetry endpoints.
-func (f *Flight) InFlight() []string {
+// keys returns the keys currently in flight, sorted.
+func (f *flight) keys() []string {
 	f.mu.Lock()
 	keys := make([]string, 0, len(f.inflight))
 	for k := range f.inflight {
@@ -138,9 +165,9 @@ func (f *Flight) InFlight() []string {
 	return keys
 }
 
-// Stats returns a snapshot of the traffic counters.
-func (f *Flight) Stats() FlightStats {
+// stats returns a snapshot of the traffic counters.
+func (f *flight) stats() FlightStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.stats
+	return f.counts
 }

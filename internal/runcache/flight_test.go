@@ -2,6 +2,7 @@ package runcache
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -11,34 +12,34 @@ import (
 	"invisifence/internal/faultinject"
 )
 
+// TestFlightDedupesConcurrentCallers: N concurrent Resolve calls of one
+// key make one fn call and one Put, with 1 Computed and N−1 Shared.
 func TestFlightDedupesConcurrentCallers(t *testing.T) {
-	var f Flight
+	c, _ := Open("")
 	var execs atomic.Int64
 	gate := make(chan struct{})
 	const callers = 16
 
 	var wg sync.WaitGroup
-	sharedCount := atomic.Int64{}
-	for i := 0; i < callers; i++ {
+	origins := make([]Origin, callers)
+	for i := range origins {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			v, shared, err := f.Do("k", func() (any, error) {
+			v, origin, err := Resolve(c, "k", func() (int, error) {
 				<-gate // hold the flight open until all callers joined
 				execs.Add(1)
 				return 42, nil
 			})
-			if err != nil || v.(int) != 42 {
-				t.Errorf("Do: %v, %v", v, err)
+			if err != nil || v != 42 {
+				t.Errorf("Resolve: %v, %v", v, err)
 			}
-			if shared {
-				sharedCount.Add(1)
-			}
+			origins[i] = origin
 		}()
 	}
 	// Wait until the late callers are registered as followers, then
 	// release the leader.
-	for f.Stats().Followers < callers-1 {
+	for c.FlightStats().Followers < callers-1 {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -47,24 +48,30 @@ func TestFlightDedupesConcurrentCallers(t *testing.T) {
 	if n := execs.Load(); n != 1 {
 		t.Fatalf("%d executions for %d concurrent callers", n, callers)
 	}
-	if sharedCount.Load() != callers-1 {
-		t.Fatalf("%d callers saw shared=true, want %d", sharedCount.Load(), callers-1)
+	count := map[Origin]int{}
+	for _, o := range origins {
+		count[o]++
 	}
-	s := f.Stats()
-	if s.Leaders != 1 || s.Followers != callers-1 || s.Panics != 0 {
+	if count[Computed] != 1 || count[Shared] != callers-1 {
+		t.Fatalf("origins: %v (want 1 computed, %d shared)", count, callers-1)
+	}
+	if s := c.FlightStats(); s.Leaders != 1 || s.Followers != callers-1 || s.Panics != 0 {
 		t.Fatalf("stats: %+v", s)
+	}
+	if s := c.Stats(); s.Puts != 1 {
+		t.Fatalf("cache stats: %+v (want 1 put)", s)
 	}
 }
 
 func TestFlightDistinctKeysIndependent(t *testing.T) {
-	var f Flight
+	var f flight
 	var execs atomic.Int64
 	var wg sync.WaitGroup
 	for _, k := range []string{"a", "b", "c"} {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, shared, err := f.Do(k, func() (any, error) {
+			if _, shared, err := f.do(k, func() (any, error) {
 				execs.Add(1)
 				return k, nil
 			}); shared || err != nil {
@@ -79,12 +86,12 @@ func TestFlightDistinctKeysIndependent(t *testing.T) {
 }
 
 func TestFlightSequentialCallsReExecute(t *testing.T) {
-	// Flight is dedupe-in-flight only, not a memo: persistence belongs
-	// to the Cache.
-	var f Flight
+	// The flight is dedupe-in-flight only, not a memo: persistence
+	// belongs to the Cache.
+	var f flight
 	var execs atomic.Int64
 	for i := 0; i < 3; i++ {
-		if _, shared, _ := f.Do("k", func() (any, error) { execs.Add(1); return nil, nil }); shared {
+		if _, shared, _ := f.do("k", func() (any, error) { execs.Add(1); return nil, nil }); shared {
 			t.Fatal("sequential caller reported shared result")
 		}
 	}
@@ -93,8 +100,10 @@ func TestFlightSequentialCallsReExecute(t *testing.T) {
 	}
 }
 
+// TestFlightErrorSharedWithFollowers: an fn error reaches every follower
+// and nothing is Put, so the next call computes again.
 func TestFlightErrorSharedWithFollowers(t *testing.T) {
-	var f Flight
+	c, _ := Open("")
 	boom := errors.New("boom")
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
@@ -103,10 +112,10 @@ func TestFlightErrorSharedWithFollowers(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, _, errs[0] = f.Do("k", func() (any, error) {
+		_, _, errs[0] = Resolve(c, "k", func() (int, error) {
 			close(leaderStarted)
 			<-gate
-			return nil, boom
+			return 0, boom
 		})
 	}()
 	<-leaderStarted
@@ -114,13 +123,17 @@ func TestFlightErrorSharedWithFollowers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _, errs[i] = f.Do("k", func() (any, error) {
+			var origin Origin
+			_, origin, errs[i] = Resolve(c, "k", func() (int, error) {
 				t.Error("follower executed fn")
-				return nil, nil
+				return 0, nil
 			})
+			if origin != Shared {
+				t.Errorf("follower origin %v", origin)
+			}
 		}()
 	}
-	for f.Stats().Followers < 3 {
+	for c.FlightStats().Followers < 3 {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -130,10 +143,19 @@ func TestFlightErrorSharedWithFollowers(t *testing.T) {
 			t.Fatalf("caller %d: %v", i, err)
 		}
 	}
+	if s := c.Stats(); s.Puts != 0 {
+		t.Fatalf("failed flight published: %+v", s)
+	}
+	if _, origin, err := Resolve(c, "k", func() (int, error) { return 1, nil }); origin != Computed || err != nil {
+		t.Fatalf("post-error call: origin=%v err=%v", origin, err)
+	}
 }
 
+// TestFlightLeaderPanicBecomesError: a leader panic reaches leader and
+// follower as a *PanicError, nothing is Put, and the key is released.
 func TestFlightLeaderPanicBecomesError(t *testing.T) {
-	var f Flight
+	c, _ := Open(t.TempDir())
+	const key = "k0" // disk keys need a two-character shard prefix
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	var followerErr error
@@ -142,7 +164,7 @@ func TestFlightLeaderPanicBecomesError(t *testing.T) {
 	var leaderErr error
 	go func() {
 		defer wg.Done()
-		_, _, leaderErr = f.Do("k", func() (any, error) {
+		_, _, leaderErr = Resolve(c, key, func() (int, error) {
 			close(started)
 			<-gate
 			panic("poisoned cell")
@@ -151,9 +173,9 @@ func TestFlightLeaderPanicBecomesError(t *testing.T) {
 	<-started
 	go func() {
 		defer wg.Done()
-		_, _, followerErr = f.Do("k", func() (any, error) { return nil, nil })
+		_, _, followerErr = Resolve(c, key, func() (int, error) { return 0, nil })
 	}()
-	for f.Stats().Followers < 1 {
+	for c.FlightStats().Followers < 1 {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -164,25 +186,28 @@ func TestFlightLeaderPanicBecomesError(t *testing.T) {
 		if !errors.As(err, &pe) {
 			t.Fatalf("%s error: %v (want *PanicError)", who, err)
 		}
-		if pe.Key != "k" || pe.Value.(string) != "poisoned cell" {
+		if pe.Key != key || pe.Value.(string) != "poisoned cell" {
 			t.Fatalf("%s panic detail: %+v", who, pe)
 		}
 		if !strings.Contains(err.Error(), "poisoned cell") {
 			t.Fatalf("%s error text: %q", who, err)
 		}
 	}
-	if s := f.Stats(); s.Panics != 1 {
+	if s := c.FlightStats(); s.Panics != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
+	if s := c.Stats(); s.Puts != 0 {
+		t.Fatalf("panicked flight published: %+v", s)
+	}
 	// The key is released: the next call runs fresh.
-	if _, shared, err := f.Do("k", func() (any, error) { return 1, nil }); shared || err != nil {
-		t.Fatalf("post-panic call: shared=%v err=%v", shared, err)
+	if _, origin, err := Resolve(c, key, func() (int, error) { return 1, nil }); origin != Computed || err != nil {
+		t.Fatalf("post-panic call: origin=%v err=%v", origin, err)
 	}
 }
 
 func TestFlightInFlightRegistry(t *testing.T) {
-	var f Flight
-	if keys := f.InFlight(); len(keys) != 0 {
+	c, _ := Open("")
+	if keys := c.InFlight(); len(keys) != 0 {
 		t.Fatalf("idle registry: %v", keys)
 	}
 	gate := make(chan struct{})
@@ -192,34 +217,35 @@ func TestFlightInFlightRegistry(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f.Do(k, func() (any, error) {
+			Resolve(c, k, func() (int, error) {
 				started <- struct{}{}
 				<-gate
-				return nil, nil
+				return 0, nil
 			})
 		}()
 	}
 	<-started
 	<-started
-	if keys := f.InFlight(); len(keys) != 2 || keys[0] != "aa" || keys[1] != "zz" {
+	if keys := c.InFlight(); len(keys) != 2 || keys[0] != "aa" || keys[1] != "zz" {
 		t.Fatalf("registry snapshot: %v (want sorted [aa zz])", keys)
 	}
 	close(gate)
 	wg.Wait()
-	if keys := f.InFlight(); len(keys) != 0 {
+	if keys := c.InFlight(); len(keys) != 0 {
 		t.Fatalf("registry after completion: %v", keys)
 	}
 }
 
-// TestFlightInjectedLeaderPanic checks an injected leader panic takes
-// the organic panic path: recovered, counted, surfaced as *PanicError
-// to leader and followers, and the flight is re-runnable afterwards.
+// TestFlightInjectedLeaderPanic checks Cache.SetInjector arms the
+// flight leader, and that an injected leader panic takes the organic
+// panic path: recovered, counted, surfaced as *PanicError, nothing Put,
+// and the key is re-resolvable afterwards.
 func TestFlightInjectedLeaderPanic(t *testing.T) {
-	var f Flight
-	f.SetInjector(faultinject.New(&faultinject.Plan{
+	c, _ := Open("")
+	c.SetInjector(faultinject.New(&faultinject.Plan{
 		Rules: []faultinject.Rule{{Site: SiteLeader, Kind: faultinject.KindPanic}},
 	}))
-	_, _, err := f.Do("k", func() (any, error) { return 1, nil })
+	_, _, err := Resolve(c, "k", func() (int, error) { return 1, nil })
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("injected panic surfaced as %v", err)
@@ -227,12 +253,83 @@ func TestFlightInjectedLeaderPanic(t *testing.T) {
 	if p, ok := pe.Value.(*faultinject.InjectedError); !ok || p.Site != SiteLeader {
 		t.Fatalf("panic value: %v", pe.Value)
 	}
-	if s := f.Stats(); s.Panics != 1 {
+	if s := c.FlightStats(); s.Panics != 1 {
 		t.Fatalf("stats: %+v", s)
 	}
+	if s := c.Stats(); s.Puts != 0 {
+		t.Fatalf("panicked flight published: %+v", s)
+	}
 	// The rule's window is exhausted; the next flight succeeds.
-	v, _, err := f.Do("k", func() (any, error) { return 2, nil })
-	if err != nil || v != 2 {
-		t.Fatalf("flight after injection: v=%v err=%v", v, err)
+	v, origin, err := Resolve(c, "k", func() (int, error) { return 2, nil })
+	if err != nil || v != 2 || origin != Computed {
+		t.Fatalf("flight after injection: v=%v origin=%v err=%v", v, origin, err)
+	}
+}
+
+// resolveCounting resolves key on c with a function that counts its
+// executions and returns want.
+func resolveCounting(t *testing.T, c *Cache, key string, want fakeConfig, execs *atomic.Int64) (fakeConfig, Origin) {
+	t.Helper()
+	v, origin, err := Resolve(c, key, func() (fakeConfig, error) {
+		execs.Add(1)
+		return want, nil
+	})
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
+	return v, origin
+}
+
+func TestResolveColdComputesAndPuts(t *testing.T) {
+	c, _ := Open(t.TempDir())
+	var execs atomic.Int64
+	v, origin := resolveCounting(t, c, "k0", cfg(), &execs)
+	if origin != Computed || execs.Load() != 1 || !reflect.DeepEqual(v, cfg()) {
+		t.Fatalf("cold resolve: origin=%v execs=%d v=%+v", origin, execs.Load(), v)
+	}
+	if s := c.Stats(); s.Puts != 1 || s.Misses != 1 {
+		t.Fatalf("cache stats: %+v (want 1 miss, 1 put)", s)
+	}
+}
+
+func TestResolveWarmIsCached(t *testing.T) {
+	dir := t.TempDir()
+	c, _ := Open(dir)
+	if err := c.Put("k0", cfg()); err != nil {
+		t.Fatal(err)
+	}
+	// A second process: the value comes off disk, fn never runs.
+	c2, _ := Open(dir)
+	var execs atomic.Int64
+	v, origin := resolveCounting(t, c2, "k0", fakeConfig{}, &execs)
+	if origin != Cached || execs.Load() != 0 || !reflect.DeepEqual(v, cfg()) {
+		t.Fatalf("warm resolve: origin=%v execs=%d v=%+v", origin, execs.Load(), v)
+	}
+	if s := c2.Stats(); s.Puts != 0 || s.Hits != 1 {
+		t.Fatalf("cache stats: %+v", s)
+	}
+}
+
+// TestResolveAfterPartnerFlightIsCached is the flight-first rule: a call
+// that arrives after a partner flight for its key published and ended
+// leads a new flight, and that leader finds the published value.
+func TestResolveAfterPartnerFlightIsCached(t *testing.T) {
+	c, _ := Open("")
+	var execs atomic.Int64
+	partner := make(chan struct{})
+	go func() {
+		defer close(partner)
+		resolveCounting(t, c, "k", cfg(), &execs)
+	}()
+	<-partner
+	if keys := c.InFlight(); len(keys) != 0 {
+		t.Fatalf("partner flight still registered: %v", keys)
+	}
+	v, origin := resolveCounting(t, c, "k", fakeConfig{}, &execs)
+	if origin != Cached || execs.Load() != 1 || !reflect.DeepEqual(v, cfg()) {
+		t.Fatalf("late call: origin=%v execs=%d v=%+v", origin, execs.Load(), v)
+	}
+	if fs := c.FlightStats(); fs.Leaders != 2 || fs.Followers != 0 {
+		t.Fatalf("flight stats: %+v (want two leaders)", fs)
 	}
 }

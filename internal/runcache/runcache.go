@@ -12,6 +12,9 @@
 // entry is reported as a miss (and counted in Stats.Errors), never as a
 // failure of the experiment itself.
 //
+// Callers turn a key into a value with Resolve, which puts the Cache's
+// single-flight registry in front of Get and Put.
+//
 // Two hardening layers back that contract (DESIGN.md §14). Every disk
 // entry is checksummed — the payload is prefixed with its own SHA-256 —
 // so a truncated or bit-flipped file is detected on read, moved to a
@@ -135,6 +138,8 @@ type Cache struct {
 	stats      Stats
 	degraded   bool
 	consecWerr int
+
+	flight flight // Resolve's single-flight registry
 }
 
 // Open returns a cache rooted at dir, creating it if needed. An empty dir
@@ -148,9 +153,12 @@ func Open(dir string) (*Cache, error) {
 	return &Cache{dir: dir, mem: make(map[string][]byte)}, nil
 }
 
-// SetInjector arms fault injection at the cache's I/O seams (nil keeps
-// the disarmed no-op). Call before first use.
-func (c *Cache) SetInjector(in *faultinject.Injector) { c.inj = in }
+// SetInjector arms fault injection at the cache's I/O seams and its
+// flight leader (nil keeps the disarmed no-op). Call before first use.
+func (c *Cache) SetInjector(in *faultinject.Injector) {
+	c.inj = in
+	c.flight.inj = in
+}
 
 // Dir returns the cache's root directory ("" for memory-only).
 func (c *Cache) Dir() string { return c.dir }
@@ -345,6 +353,12 @@ func (c *Cache) Stats() Stats {
 	defer c.mu.Unlock()
 	return c.stats
 }
+
+// FlightStats returns a snapshot of Resolve's single-flight counters.
+func (c *Cache) FlightStats() FlightStats { return c.flight.stats() }
+
+// InFlight returns the keys Resolve is currently resolving, sorted.
+func (c *Cache) InFlight() []string { return c.flight.keys() }
 
 func (c *Cache) count(f func(*Stats)) {
 	c.mu.Lock()

@@ -332,10 +332,10 @@ func (s *Server) handleStatsz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, StatszResponse{
 		Server:    s.Stats(),
 		Cache:     s.cache.Stats(),
-		Flight:    s.flight.Stats(),
+		Flight:    s.cache.FlightStats(),
 		Pool:      s.pool.Stats(),
 		Faults:    s.inj.Stats(),
-		InFlight:  s.flight.InFlight(),
+		InFlight:  s.cache.InFlight(),
 		Workers:   s.pool.Workers(),
 		Draining:  s.Draining(),
 		Replaying: s.Replaying(),

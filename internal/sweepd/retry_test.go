@@ -136,11 +136,13 @@ func TestLateResultCollectedOnRetry(t *testing.T) {
 	}
 	clock.fire(t) // attempt 0 times out; its simulation keeps running
 	close(gate)   // the abandoned simulation finishes and publishes
-	// Wait for the background publish, then release the retry's backoff.
+	// Wait for the background publish and for its flight to end (the
+	// publish precedes the release, and a retry joining the live flight
+	// would share it instead), then release the retry's backoff.
 	key := c.keys[0]
 	for {
 		var res invisifence.Result
-		if ok, _ := srv.cache.Get(key, &res); ok {
+		if ok, _ := srv.cache.Get(key, &res); ok && len(srv.cache.InFlight()) == 0 {
 			break
 		}
 		time.Sleep(time.Millisecond)

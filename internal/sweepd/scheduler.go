@@ -5,22 +5,23 @@ import (
 	"time"
 
 	"invisifence"
+	"invisifence/internal/runcache"
 	"invisifence/internal/stats"
 )
 
-// runCell satisfies one campaign cell. The resolution order is the
-// server's economy: persistent cache first (free), then the in-flight
-// registry (share a simulation another worker is already running), then
-// a fresh simulation published back into the cache before any
-// single-flight follower is released — so by the time a waiter or a
-// restarted process asks, the cache answers.
+// runCell satisfies one campaign cell through runcache.Resolve: it joins
+// the cell's flight (sharing a simulation another worker is already
+// running), and the flight's leader answers from the persistent cache or
+// runs a fresh simulation published back into the cache before any
+// follower is released — so by the time a waiter or a restarted process
+// asks, the cache answers.
 //
 // Every attempt runs under the watchdog deadline, and a timed-out or
 // failed attempt is retried with capped exponential backoff until the
 // attempt budget is spent — then the cell, never the campaign, is
-// marked failed. The cache is re-checked before each attempt: a
-// timed-out attempt's simulation keeps running in the background and
-// publishes on completion, so a retry often finds the answer waiting.
+// marked failed. A timed-out attempt's simulation keeps running in the
+// background and publishes on completion, so a retry often joins its
+// flight or finds the answer in the cache.
 func (s *Server) runCell(c *Campaign, i int) {
 	if s.draining.Load() {
 		c.transition(i, cellAborted, nil, "server draining: cell was queued, never started")
@@ -28,7 +29,6 @@ func (s *Server) runCell(c *Campaign, i int) {
 		return
 	}
 	c.transition(i, cellRunning, nil, "")
-	key := c.keys[i]
 	timeout := s.cellTimeout(c.spec.Scale)
 	attempts := 1 + s.opts.MaxCellRetries
 	if attempts < 1 {
@@ -47,14 +47,8 @@ func (s *Server) runCell(c *Campaign, i int) {
 				break
 			}
 		}
-		var res invisifence.Result
-		if ok, _ := s.cache.Get(key, &res); ok {
-			c.transition(i, cellCached, &res, "")
-			s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsCached++ })
-			return
-		}
 		c.journal(journalRecord{T: recStart, Cell: i, Attempt: attempt})
-		v, shared, err := s.attempt(c, i, key, timeout)
+		res, origin, err := s.attempt(c, i, timeout)
 		switch {
 		case err == errCellTimeout:
 			s.count(func(t *stats.ServerStats) { t.CellTimeouts++ })
@@ -62,15 +56,14 @@ func (s *Server) runCell(c *Campaign, i int) {
 		case err != nil:
 			lastErr = err
 		default:
-			fr := v.(flightResult)
 			to, count := cellSimulated, func(t *stats.ServerStats) { t.CellsSimulated++ }
-			switch {
-			case shared:
-				to, count = cellDeduped, func(t *stats.ServerStats) { t.CellsDeduped++ }
-			case fr.cached:
+			switch origin {
+			case runcache.Cached:
 				to, count = cellCached, func(t *stats.ServerStats) { t.CellsCached++ }
+			case runcache.Shared:
+				to, count = cellDeduped, func(t *stats.ServerStats) { t.CellsDeduped++ }
 			}
-			c.transition(i, to, &fr.res, "")
+			c.transition(i, to, &res, "")
 			s.finishCampaign(c, count)
 			return
 		}
@@ -79,50 +72,27 @@ func (s *Server) runCell(c *Campaign, i int) {
 	s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsFailed++ })
 }
 
-// flightResult is a cell flight's value: the result, and whether the
-// leader found it in the cache instead of simulating it.
-type flightResult struct {
-	res    invisifence.Result
-	cached bool
-}
-
 // errCellTimeout marks a watchdog expiry (distinguished from simulation
 // errors so it can be counted separately).
 var errCellTimeout = fmt.Errorf("sweepd: cell deadline exceeded")
 
 // attempt executes one watchdogged try of a cell. On timeout the
-// simulation goroutine is abandoned, not killed: it keeps running,
-// publishes its result into the cache on completion (the retry loop's
-// pre-attempt cache check collects it), and its buffered channel lets it
+// resolution goroutine is abandoned, not killed: it keeps running,
+// publishes its result into the cache on completion (a retry joins its
+// flight or finds the result cached), and its buffered channel lets it
 // exit. The worker, though, is freed — which is what bounds drain time.
-func (s *Server) attempt(c *Campaign, i int, key string, timeout time.Duration) (any, bool, error) {
+func (s *Server) attempt(c *Campaign, i int, timeout time.Duration) (invisifence.Result, runcache.Origin, error) {
 	type outcome struct {
-		v      any
-		shared bool
+		res    invisifence.Result
+		origin runcache.Origin
 		err    error
 	}
 	ch := make(chan outcome, 1)
 	go func() {
-		v, shared, err := s.flight.Do(key, func() (any, error) {
-			// Re-check the cache as leader: a flight for this key may have
-			// published and ended between runCell's cache check and this
-			// Do, and simulating it again would double the work.
-			var r invisifence.Result
-			if ok, _ := s.cache.Get(key, &r); ok {
-				return flightResult{res: r, cached: true}, nil
-			}
-			r, err := s.safeRun(c.jobs[i])
-			if err != nil {
-				return nil, err
-			}
-			// Publish before the flight releases its followers:
-			// best-effort (a failed write degrades a future process to
-			// re-simulation), but ordered so a drain that returns after
-			// this cell finished implies the result is on disk.
-			_ = s.cache.Put(key, r)
-			return flightResult{res: r}, nil
+		res, origin, err := runcache.Resolve(s.cache, c.keys[i], func() (invisifence.Result, error) {
+			return s.safeRun(c.jobs[i])
 		})
-		ch <- outcome{v, shared, err}
+		ch <- outcome{res, origin, err}
 	}()
 	var after <-chan time.Time
 	if timeout > 0 {
@@ -130,9 +100,9 @@ func (s *Server) attempt(c *Campaign, i int, key string, timeout time.Duration) 
 	}
 	select {
 	case o := <-ch:
-		return o.v, o.shared, o.err
+		return o.res, o.origin, o.err
 	case <-after:
-		return nil, false, errCellTimeout
+		return invisifence.Result{}, 0, errCellTimeout
 	}
 }
 
@@ -172,7 +142,7 @@ func (s *Server) backoff(attempt int) time.Duration {
 
 // safeRun executes one cell, converting a panic into an error: a
 // poisoned cell fails alone — the worker, its queue siblings, and the
-// server all survive. (The flight layer has the same guard, so even a
+// server all survive. (Resolve's flight has the same guard, so even a
 // panic outside safeRun's window could not strand followers.) The cell
 // fault-injection site fires inside the guard, so injected panics take
 // the organic path.

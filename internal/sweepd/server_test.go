@@ -216,7 +216,7 @@ func TestSingleFlightDedupe(t *testing.T) {
 		Workers: campaigns * unique,
 		Run: func(cfg invisifence.Config) (invisifence.Result, error) {
 			runs.Add(1)
-			for srv.flight.Stats().Followers < followers && !srv.Draining() {
+			for srv.cache.FlightStats().Followers < followers && !srv.Draining() {
 				runtime.Gosched()
 			}
 			return fakeResult(cfg), nil
@@ -288,7 +288,7 @@ func TestSingleFlightDedupe(t *testing.T) {
 	if s := srv.cache.Stats(); s.Puts != unique {
 		t.Fatalf("cache stats: %+v (want %d puts)", s, unique)
 	}
-	if fs := srv.flight.Stats(); fs.Leaders != unique || fs.Followers != followers {
+	if fs := srv.cache.FlightStats(); fs.Leaders != unique || fs.Followers != followers {
 		t.Fatalf("flight stats: %+v", fs)
 	}
 	// All four tables render identically.
@@ -301,8 +301,8 @@ func TestSingleFlightDedupe(t *testing.T) {
 }
 
 // gatedWriter is a journal writer that parks the first cell "start"
-// record until released, holding that cell between its pre-flight cache
-// check and its flight.
+// record until released, holding that cell just before it joins its
+// flight.
 type gatedWriter struct {
 	io.WriteCloser
 	parked, release chan struct{}
@@ -335,11 +335,13 @@ func waitCampaign(t *testing.T, c *Campaign) StatusResponse {
 	}
 }
 
-// TestFlightLeaderRechecksCache is the regression test for the
-// double-simulation window: a cell misses the cache and, before it joins
-// the flight registry, another campaign's flight for the same cell
-// publishes and ends. The late cell then leads a new flight; it must find
-// the published result instead of simulating the cell a second time.
+// TestFlightLeaderRechecksCache pins the flight-first rule against the
+// double-simulation window: a cell is scheduled while another campaign's
+// flight for the same cell is running, and that flight publishes and
+// ends before the late cell joins the flight registry. The late cell
+// then leads a new flight, and because only a flight leader consults the
+// cache, it must find the published result instead of simulating the
+// cell a second time.
 func TestFlightLeaderRechecksCache(t *testing.T) {
 	early := tinySpec() // cells sc/seed 1 and invisi-sc/seed 1
 	early.Seeds = []int64{1}
@@ -386,8 +388,8 @@ func TestFlightLeaderRechecksCache(t *testing.T) {
 	w.WriteCloser, b.jl.f = b.jl.f, w
 	b.jl.mu.Unlock()
 
-	// Free one worker: it takes b's cell, misses the cache (a's sc cell
-	// is still running), and parks on the cell's start record.
+	// Free one worker: it takes b's cell (a's sc cell is still running)
+	// and parks on the cell's start record, before joining the flight.
 	close(gates["Invisi_sc"])
 	<-w.parked
 	// a's sc cell publishes and its flight ends; only then may b's cell

@@ -1,9 +1,9 @@
 // Package sweepd is the campaign server: a long-running HTTP/JSON service
 // that accepts SweepSpecs, expands them into cells, schedules the cells
-// across a work-stealing worker pool, and answers every cell from — in
-// order of preference — the persistent content-addressed result cache, an
-// identical cell already in flight (single-flight dedupe), or a fresh
-// simulation whose result is published back into the cache. Campaigns
+// across a work-stealing worker pool, and answers every cell through
+// runcache.Resolve: an identical cell already in flight (single-flight
+// dedupe), else the persistent content-addressed result cache, else a
+// fresh simulation whose result is published back into the cache. Campaigns
 // stream per-cell progress as NDJSON events and render their finished
 // result table byte-identically to an offline cmd/sweep run of the same
 // spec: the server boundary adds sharing, never nondeterminism.
@@ -116,7 +116,6 @@ const SiteCell = "sweepd.cell"
 type Server struct {
 	opts       Options
 	cache      *runcache.Cache
-	flight     *runcache.Flight
 	pool       *sweep.Pool
 	inj        *faultinject.Injector
 	clock      Clock
@@ -168,7 +167,6 @@ func New(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		cache:     cache,
-		flight:    &runcache.Flight{},
 		pool:      sweep.NewPool(opts.Workers),
 		clock:     opts.Clock,
 		campaigns: make(map[string]*Campaign),
@@ -176,7 +174,6 @@ func New(opts Options) (*Server, error) {
 	}
 	s.inj = faultinject.New(opts.Faults)
 	s.cache.SetInjector(s.inj)
-	s.flight.SetInjector(s.inj)
 	s.pool.SetInjector(s.inj)
 	if opts.CacheDir != "" {
 		s.journalDir = filepath.Join(opts.CacheDir, "journal")

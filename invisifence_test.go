@@ -1,7 +1,9 @@
 package invisifence
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -100,14 +102,18 @@ func TestSpeculativeVariantsRunAndSpeculate(t *testing.T) {
 	}
 }
 
-func TestCampaignCachesResults(t *testing.T) {
+func tinyCampaign() *Campaign {
 	m := tinyMachine()
-	c := NewCampaign(ExpOptions{
+	return NewCampaign(ExpOptions{
 		Machine:   &m,
 		Workloads: []string{"barnes"},
 		Seeds:     []int64{1},
 		Scale:     0.2,
 	})
+}
+
+func TestCampaignCachesResults(t *testing.T) {
+	c := tinyCampaign()
 	v := ConventionalVariant(SC)
 	r1, err := c.Results("barnes", v)
 	if err != nil {
@@ -117,11 +123,72 @@ func TestCampaignCachesResults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &r1[0] != &r2[0] {
-		t.Fatal("results not cached")
+	if n := c.Simulated(); n != 1 {
+		t.Fatalf("%d simulations for one cell asked for twice", n)
 	}
-	if len(c.sortedCacheKeys()) != 1 {
-		t.Fatal("cache key bookkeeping")
+	if !reflect.DeepEqual(r1, r2) {
+		t.Fatal("cached results differ from the simulated ones")
+	}
+}
+
+// TestCampaignConcurrentResultsSimulateOnce: concurrent requests for one
+// cell share a single simulation.
+func TestCampaignConcurrentResultsSimulateOnce(t *testing.T) {
+	c := tinyCampaign()
+	v := ConventionalVariant(SC)
+	const callers = 6
+	out := make([][]Result, callers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rs, err := c.Results("barnes", v)
+			if err != nil {
+				t.Error(err)
+			}
+			out[i] = rs
+		}()
+	}
+	wg.Wait()
+	if n := c.Simulated(); n != 1 {
+		t.Fatalf("%d simulations for %d concurrent requests of one cell", n, callers)
+	}
+	for i := range out[1:] {
+		if !reflect.DeepEqual(out[0], out[i+1]) {
+			t.Fatalf("caller %d saw different results", i+1)
+		}
+	}
+}
+
+// TestCampaignResultsKeyedOnFullConfig: two variants sharing a name but
+// differing in a parameter are distinct cells; the second must not get
+// the first one's results back.
+func TestCampaignResultsKeyedOnFullConfig(t *testing.T) {
+	c := tinyCampaign()
+	v := SelectiveVariant(SC)
+	v2 := v
+	v2.SBCapacity = 1
+	if _, err := c.Results("barnes", v); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Results("barnes", v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(c.cellConfig("barnes", v2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := Run(c.cellConfig("barnes", v, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Cycles == first.Cycles {
+		t.Fatalf("SBCapacity 1 left cycles unchanged (%d): the test needs a distinguishing knob", want.Cycles)
+	}
+	if got[0].Cycles != want.Cycles || !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("%s@sb1 returned %d cycles, its own run takes %d", v2.Name, got[0].Cycles, want.Cycles)
 	}
 }
 

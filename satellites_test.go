@@ -117,13 +117,13 @@ func TestLinkBandwidthZeroEncodingStable(t *testing.T) {
 	if strings.Contains(string(cfgJSON), "LinkBandwidth") {
 		t.Errorf("bandwidth-0 Config encodes the contention knob (cache keys drift): %s", cfgJSON)
 	}
-	key0 := resultKey(cfg)
+	key0 := ResultKey(cfg)
 	cfg.Machine.LinkBandwidth = 0 // explicit zero: same cell
-	if k := resultKey(cfg); k != key0 {
+	if k := ResultKey(cfg); k != key0 {
 		t.Errorf("explicit LinkBandwidth 0 changed the cache key: %s vs %s", k, key0)
 	}
 	cfg.Machine.LinkBandwidth = 4
-	if k := resultKey(cfg); k == key0 {
+	if k := ResultKey(cfg); k == key0 {
 		t.Error("finite LinkBandwidth did not change the cache key: congested cells would collide with latency-only ones")
 	}
 
@@ -157,7 +157,7 @@ func TestSweepLinkBandwidthAxis(t *testing.T) {
 	if jobs[0].Machine.LinkBandwidth != 0 || jobs[1].Machine.LinkBandwidth != 4 {
 		t.Errorf("axis not applied: bandwidths %d, %d", jobs[0].Machine.LinkBandwidth, jobs[1].Machine.LinkBandwidth)
 	}
-	if resultKey(jobs[0]) == resultKey(jobs[1]) {
+	if ResultKey(jobs[0]) == ResultKey(jobs[1]) {
 		t.Error("linkbw axis cells share a cache key")
 	}
 

@@ -210,7 +210,7 @@ func (s SweepSpec) Jobs() ([]Config, error) {
 			Scale:     s.Scale,
 			MaxCycles: s.MaxCycles,
 		}
-		if k := resultKey(cfg); !seen[k] {
+		if k := ResultKey(cfg); !seen[k] {
 			seen[k] = true
 			jobs = append(jobs, cfg)
 		}
@@ -258,12 +258,34 @@ type SweepOutcome struct {
 // ResultKey derives the canonical content-addressed cache key for one run
 // configuration. Everything that can change a Result is part of cfg, so
 // two processes asking for the same cell always agree on the key — the
-// contract that lets cmd/sweep, Campaign, and the sweepd campaign server
-// share one cache layout and single-flight registry.
+// contract that lets Sweep, Campaign, and the sweepd campaign server
+// share one cache layout, and lets runcache.Resolve deduplicate a cell
+// in flight.
 func ResultKey(cfg Config) string { return runcache.MustKey("result", cfg) }
 
-// resultKey is the historical internal spelling of ResultKey.
-func resultKey(cfg Config) string { return ResultKey(cfg) }
+// resolveCell returns cfg's result through cache: served from the cache,
+// shared with a concurrent resolution of the same cell, or simulated and
+// published.
+func resolveCell(cache *runcache.Cache, cfg Config) (Result, runcache.Origin, error) {
+	return runcache.Resolve(cache, ResultKey(cfg), func() (Result, error) { return Run(cfg) })
+}
+
+// resolveCells resolves every cell on a pool of workers, returning runs
+// in cfgs order. done is called after each cell resolves; calls are
+// serialized.
+func resolveCells(cache *runcache.Cache, cfgs []Config, workers int, done func(Config, runcache.Origin)) ([]SweepRun, error) {
+	var mu sync.Mutex
+	return sweep.Run(cfgs, sweep.Options{Workers: workers}, func(cfg Config) (SweepRun, error) {
+		res, origin, err := resolveCell(cache, cfg)
+		if err != nil {
+			return SweepRun{}, err
+		}
+		mu.Lock()
+		done(cfg, origin)
+		mu.Unlock()
+		return SweepRun{Config: cfg, Result: res, Cached: origin != runcache.Computed}, nil
+	})
+}
 
 // Sweep expands the spec and executes every cell on a bounded worker pool,
 // serving previously-computed cells from the persistent cache. Results
@@ -277,37 +299,16 @@ func Sweep(spec SweepSpec, opts SweepOptions) (*SweepOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
 	simulated, done := 0, 0
-	finish := func(cfg Config, cached bool) {
-		mu.Lock()
-		defer mu.Unlock()
+	runs, err := resolveCells(cache, jobs, opts.Parallel, func(cfg Config, origin runcache.Origin) {
+		cached := origin != runcache.Computed
 		if !cached {
 			simulated++
 		}
 		done++
-		// Called under mu: Progress invocations are serialized and the
-		// done counter is monotone across workers.
 		if opts.Progress != nil {
 			opts.Progress(done, len(jobs), cfg, cached)
 		}
-	}
-	runs, err := sweep.Run(jobs, sweep.Options{Workers: opts.Parallel}, func(cfg Config) (SweepRun, error) {
-		key := resultKey(cfg)
-		var res Result
-		if ok, _ := cache.Get(key, &res); ok {
-			finish(cfg, true)
-			return SweepRun{Config: cfg, Result: res, Cached: true}, nil
-		}
-		res, err := Run(cfg)
-		if err != nil {
-			return SweepRun{}, err
-		}
-		// Best-effort persistence: a failed write degrades the next
-		// process to a re-simulation, it does not fail this one.
-		_ = cache.Put(key, res)
-		finish(cfg, false)
-		return SweepRun{Config: cfg, Result: res}, nil
 	})
 	if err != nil {
 		return nil, err

@@ -79,7 +79,7 @@ func TestSweepSpecJobsExpansion(t *testing.T) {
 	// Expansion is deterministic.
 	again, _ := spec.Jobs()
 	for i := range jobs {
-		if resultKey(jobs[i]) != resultKey(again[i]) {
+		if ResultKey(jobs[i]) != ResultKey(again[i]) {
 			t.Fatalf("job %d not reproducible", i)
 		}
 	}
@@ -122,7 +122,7 @@ func TestSweepSpecDedupesIdenticalConfigs(t *testing.T) {
 	}
 	keys := make(map[string]bool)
 	for _, j := range jobs {
-		k := resultKey(j)
+		k := ResultKey(j)
 		if keys[k] {
 			t.Fatalf("duplicate config survived dedup: %s/%s", j.Workload, j.Variant.Name)
 		}
