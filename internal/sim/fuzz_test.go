@@ -156,8 +156,9 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 // implementations. Odd seeds also pin MaxCycles truncation (runs that hit
 // the bound must truncate at the same cycle with identical partial stats),
 // and a jittered network must match lock-step at one cluster, where jitter
-// is drawn in the lock-step send order. The seed corpus holds the seeds of
-// the fixed list this check grew from.
+// is drawn in the lock-step send order. Every lock-step run is hint-audited
+// (runAudited): no node may change state before its NextEvent hint. The
+// seed corpus holds the seeds of the fixed list this check grew from.
 func FuzzRunnerEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99991} {
 		f.Add(seed)
@@ -186,7 +187,11 @@ func FuzzRunnerEquivalence(f *testing.F) {
 					cfg.MaxCycles = 30_000
 				}
 				mutate(&cfg)
-				return New(cfg, progs, regInits).Run()
+				s := New(cfg, progs, regInits)
+				if cfg.DisableIdleSkip {
+					return runAudited(t, s) // the lock-step oracle, hint-audited
+				}
+				return s.Run()
 			}
 			lockstep := run(func(c *Config) { c.DisableIdleSkip = true })
 			for _, k := range []int{1, 2, 3} {

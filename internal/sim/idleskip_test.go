@@ -164,24 +164,7 @@ func runBoth(t *testing.T, model consistency.Model, eng ifcore.Config) (lockstep
 // counter — is identical whether the simulator ticks every node every
 // cycle or ticks each node only at its own events.
 func TestIdleSkipBitExact(t *testing.T) {
-	cases := []struct {
-		name  string
-		model consistency.Model
-		eng   ifcore.Config
-	}{
-		{"conventional-sc", consistency.SC, offEngine(consistency.SC)},
-		{"conventional-tso", consistency.TSO, offEngine(consistency.TSO)},
-		{"conventional-rmo", consistency.RMO, offEngine(consistency.RMO)},
-		{"conventional-rc", consistency.RC, offEngine(consistency.RC)},
-		{"selective-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC)},
-		{"selective-rmo", consistency.RMO, ifcore.DefaultSelective(consistency.RMO)},
-		{"selective-rc", consistency.RC, ifcore.DefaultSelective(consistency.RC)},
-		{"louvre-rc", consistency.RC, ifcore.DefaultLouvre()},
-		{"continuous", consistency.SC, ifcore.DefaultContinuous(false)},
-		{"continuous-cov", consistency.SC, ifcore.DefaultContinuous(true)},
-		{"aso", consistency.SC, ifcore.DefaultASO()},
-	}
-	for _, c := range cases {
+	for _, c := range idleSkipCases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
