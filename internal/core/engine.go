@@ -296,11 +296,12 @@ func (e *Engine) OnRetireInstr() {
 	}
 }
 
-// OnSpecStore counts a store into the youngest epoch (ASO SSB occupancy).
-// It returns false if the ASO SSB is full (the store must stall).
+// OnSpecStore counts a store into the youngest epoch's ASO SSB occupancy
+// (the only mode that reads it; elsewhere the call changes nothing). It
+// returns false if the ASO SSB is full (the store must stall).
 func (e *Engine) OnSpecStore() bool {
 	y := e.YoungestEpoch()
-	if y < 0 {
+	if y < 0 || e.cfg.Mode != ModeASO {
 		return true
 	}
 	if e.SSBWouldBlock() {

@@ -11,9 +11,6 @@ import (
 	"invisifence/internal/storebuffer"
 )
 
-// debugInertEngine disables speculation triggers (diagnostic bisect knob).
-var DebugInertEngine = false
-
 // ---------------------------------------------------------------------
 // cpu.Backend: the load path.
 // ---------------------------------------------------------------------
@@ -50,80 +47,79 @@ func (n *Node) StartLoad(tag uint64, addr memtypes.Addr) cpu.LoadResult {
 
 // ---------------------------------------------------------------------
 // cpu.Backend: retirement policy (Figure 2 rules, Figure 4 triggers).
+//
+// Every retirement attempt is classify-then-apply. The classify* methods
+// are read-only: from the head's operands and the node's state they decide
+// what the attempt does, as a headPlan. apply performs exactly the
+// mutations the plan names. NextEvent and SkipCycles classify the ROB head
+// the same way (Node.headPlan), so each rule and trigger is written once,
+// here, and a new retirement path is one more classify case.
 // ---------------------------------------------------------------------
 
-// RetireLoad implements cpu.Backend. Acquiring loads (ld.acq) need no
-// extra machinery: in-order retirement plus load-queue snooping already
-// order a retired load before everything younger, which is exactly the
-// acquire edge RC requires.
-func (n *Node) RetireLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) (bool, cpu.StallReason) {
-	if n.engine.Speculating() {
-		return n.retireSpecLoad(addr, fromL1)
-	}
-	rules := consistency.RulesFor(n.cfg.Model)
-	if rules.LoadNeedsDrain && !n.sbEmpty() {
-		// SC: a load may not retire past outstanding stores...
-		if n.canTriggerSpeculationOn(trigLoad) {
-			// ...unless InvisiFence speculates instead (§4.1).
-			n.engine.Begin()
-			return n.retireSpecLoad(addr, fromL1)
-		}
-		return false, cpu.StallSBDrain
-	}
-	return true, cpu.StallNone
-}
-
-// retireSpecLoad retires a load inside a speculation, marking the
-// speculatively-read bit at retirement (selective/ASO; continuous marked at
-// execution). Store-buffer-forwarded values need no bit: they are the
-// core's own not-yet-visible stores, protected by the written state.
-func (n *Node) retireSpecLoad(addr memtypes.Addr, fromL1 bool) (bool, cpu.StallReason) {
-	if !fromL1 {
-		return true, cpu.StallNone
-	}
-	line := n.l1.Peek(addr)
-	if line == nil {
-		// The line left the L1 between execution and retirement (racing
-		// same-cycle eviction). Replay the load rather than retire a value
-		// that is no longer protected.
-		n.core.SnoopBlock(memtypes.BlockAddr(addr))
-		return false, cpu.StallOther
-	}
-	// Selective/ASO mark at retirement (§4.1). Continuous marks at
-	// execution (§4.2), but marking again here closes the gap for loads
-	// that executed in the brief non-speculative window after an abort and
-	// retire inside the next chunk.
-	if y := n.engine.YoungestEpoch(); y >= 0 {
-		n.l1.MarkSpecRead(line, y)
-	}
-	return true, cpu.StallNone
-}
-
-// triggerKind classifies the retirement stall that would start a
-// speculation: which instruction class hit an ordering requirement.
-type triggerKind uint8
+// planStep is the mutation sequence one retirement attempt performs.
+type planStep uint8
 
 const (
-	trigLoad triggerKind = iota
-	trigStore
-	trigRelease // st.rel blocked on a store-buffer drain (RC)
-	trigAtomic
-	trigFence
+	stepRetire    planStep = iota // retire; nothing else changes
+	stepStall                     // stay at the head; nothing else changes
+	stepFullStall                 // stay at the head, counting one FullStall on plan.stalls
+	stepBegin                     // begin a speculation, then re-classify on the speculative path
+	stepRequest                   // request the block with ownership, stay at the head
+	stepReplay                    // snoop the block: the load's line left the L1, replay it
+	stepPush                      // push into the FIFO store buffer, retire
+	stepWrite                     // write the L1 line directly, retire
+	stepBuffer                    // store into the coalescing buffer, retire
 )
 
-// canTriggerSpeculationOn reports whether a checkpoint-based speculation
-// may begin now at a stall of the given kind. Selective mode (and the ASO
-// baseline) speculates at every ordering stall (Figure 4); Louvre-style
-// versioned ordering opens a version epoch only at release boundaries and
-// takes the conventional stall everywhere else.
-func (n *Node) canTriggerSpeculationOn(k triggerKind) bool {
-	if DebugInertEngine {
-		return false
-	}
+// waitKind is what the next attempt of a plan changes: all the event loop
+// needs to know about it.
+type waitKind uint8
+
+const (
+	waitMutates   waitKind = iota // it changes state: the node must tick
+	waitPure                      // nothing, until an event tracked elsewhere (drain, fill, cleaning, commit)
+	waitFullStall                 // only one FullStalls bump on plan.stalls, which SkipCycles replays
+)
+
+// headPlan is the classification of one retirement attempt.
+type headPlan struct {
+	step planStep
+	wait waitKind
+	why  cpu.StallReason // StallNone exactly when the step retires
+	line *cache.Line     // the head's L1 line, looked up once
+	// stalls is the FullStalls counter of the buffer a stepFullStall names.
+	stalls *uint64
+	// markRead first sets the speculatively-read bit on line (speculative
+	// loads, and the load half of a speculative atomic); clean then starts
+	// a cleaning writeback of the block (§3.2); request asks for ownership
+	// after a stepBuffer store.
+	markRead, clean, request bool
+	// val is the value a store step writes; old is the value an atomic
+	// read, its result.
+	val, old memtypes.Word
+}
+
+// stall plans a pure wait reporting why.
+func stall(why cpu.StallReason) headPlan {
+	return headPlan{step: stepStall, why: why, wait: waitPure}
+}
+
+// fullStall plans a store blocked on a full buffer, counting its stalls.
+func fullStall(stalls *uint64) headPlan {
+	return headPlan{step: stepFullStall, why: cpu.StallSBFull, wait: waitFullStall, stalls: stalls}
+}
+
+// canTriggerSpeculation reports whether a checkpoint-based speculation may
+// begin now at an ordering stall; release marks a st.rel blocked on a
+// store-buffer drain (RC). Selective mode (and the ASO baseline)
+// speculates at every ordering stall (Figure 4); Louvre-style versioned
+// ordering opens a version epoch only at release boundaries and takes the
+// conventional stall everywhere else.
+func (n *Node) canTriggerSpeculation(release bool) bool {
 	switch n.engine.Config().Mode {
 	case ifcore.ModeSelective, ifcore.ModeASO:
 	case ifcore.ModeLouvre:
-		if k != trigRelease {
+		if !release {
 			return false
 		}
 	default:
@@ -132,91 +128,135 @@ func (n *Node) canTriggerSpeculationOn(k triggerKind) bool {
 	return n.engine.CanBegin()
 }
 
+// drainOrBegin is the Figure 4 choice at a store-buffer ordering stall:
+// speculate past it if the trigger may fire, else wait for the drain.
+func (n *Node) drainOrBegin(release bool) headPlan {
+	if n.canTriggerSpeculation(release) {
+		return headPlan{step: stepBegin}
+	}
+	return stall(cpu.StallSBDrain)
+}
+
+// requestPlan waits for a block the head needs. requestBlock does nothing
+// while the block's miss is outstanding, so only the first attempt (the
+// one that allocates the miss) mutates.
+func (n *Node) requestPlan(block memtypes.Addr, why cpu.StallReason) headPlan {
+	p := headPlan{step: stepRequest, why: why}
+	if _, ok := n.mshrs[block]; ok {
+		p.wait = waitPure
+	}
+	return p
+}
+
+// RetireLoad implements cpu.Backend.
+func (n *Node) RetireLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) (bool, cpu.StallReason) {
+	p := n.classifyLoad(addr, fromL1)
+	if p.step == stepBegin {
+		n.engine.Begin()
+		p = n.classifyLoad(addr, fromL1)
+	}
+	return n.apply(p, addr)
+}
+
+// classifyLoad is RetireLoad's decision. Acquiring loads (ld.acq) need no
+// extra machinery: in-order retirement plus load-queue snooping already
+// order a retired load before everything younger, which is exactly the
+// acquire edge RC requires.
+func (n *Node) classifyLoad(addr memtypes.Addr, fromL1 bool) headPlan {
+	if n.engine.Speculating() {
+		// Inside a speculation the load marks the speculatively-read bit at
+		// retirement (selective/ASO, §4.1; continuous marked at execution,
+		// §4.2, but marking again closes the gap for loads that executed in
+		// the brief non-speculative window after an abort). Store-buffer-
+		// forwarded values need no bit: they are the core's own not-yet-
+		// visible stores, protected by the written state.
+		if !fromL1 {
+			return headPlan{}
+		}
+		line := n.l1.Peek(addr)
+		if line == nil {
+			// The line left the L1 between execution and retirement (racing
+			// same-cycle eviction). Replay the load rather than retire a
+			// value that is no longer protected.
+			return headPlan{step: stepReplay, why: cpu.StallOther}
+		}
+		return headPlan{line: line, markRead: true}
+	}
+	if consistency.RulesFor(n.cfg.Model).LoadNeedsDrain && !n.sbEmpty() {
+		// SC: a load may not retire past outstanding stores -- unless
+		// InvisiFence speculates instead (§4.1).
+		return n.drainOrBegin(false)
+	}
+	return headPlan{}
+}
+
 // RetireStore implements cpu.Backend.
 func (n *Node) RetireStore(op isa.Op, addr memtypes.Addr, val memtypes.Word) (bool, cpu.StallReason) {
+	p := n.classifyStore(op, addr)
+	if p.step == stepBegin {
+		n.engine.Begin()
+		p = n.classifyStore(op, addr)
+	}
+	p.val = val
+	return n.apply(p, addr)
+}
+
+// classifyStore is RetireStore's decision.
+func (n *Node) classifyStore(op isa.Op, addr memtypes.Addr) headPlan {
 	if n.fifoSB != nil {
 		// Conventional SC/TSO: word-granularity FIFO.
-		if !n.fifoSB.Push(addr, val) {
-			return false, cpu.StallSBFull
+		if n.fifoSB.Full() {
+			return fullStall(&n.fifoSB.FullStalls)
 		}
-		return true, cpu.StallNone
+		return headPlan{step: stepPush}
 	}
 	if n.engine.Speculating() {
-		return n.retireSpecStore(addr, val)
+		return n.classifySpecStore(addr)
 	}
 	// Not speculating, coalescing buffer. Under SC/TSO an unordered buffer
 	// may not hold reordered stores: a store retiring with a non-empty
-	// buffer triggers speculation (Figure 4's "store/atomic reorderings").
+	// buffer triggers speculation (Figure 4's "store/atomic reorderings"),
+	// or waits for the drain (the forward-progress grace window).
 	switch n.cfg.Model {
 	case consistency.SC, consistency.TSO:
 		if !n.sbEmpty() {
-			if n.canTriggerSpeculationOn(trigStore) {
-				n.engine.Begin()
-				return n.retireSpecStore(addr, val)
-			}
-			// Forward-progress grace window: wait for the drain.
-			return false, cpu.StallSBDrain
+			return n.drainOrBegin(false)
 		}
 	case consistency.RC:
 		// A releasing store may not become visible before any earlier
-		// store: drain first — or speculate past the release (Invisi_rc's
+		// store: drain first -- or speculate past the release (Invisi_rc's
 		// selective trigger, Louvre's version-epoch open). Plain stores
 		// coalesce freely.
 		if op.IsRelease() && !n.sbEmpty() {
-			if n.canTriggerSpeculationOn(trigRelease) {
-				n.engine.Begin()
-				return n.retireSpecStore(addr, val)
-			}
-			return false, cpu.StallSBDrain
+			return n.drainOrBegin(true)
 		}
 	}
-	return n.retireNonSpecStore(addr, val)
-}
-
-// retireNonSpecStore is the baseline RMO path: store hits retire directly
-// into the L1; misses coalesce in the store buffer.
-//
-// A store may only bypass the buffer if the buffer holds nothing for its
-// block: buffered entries drain in age order, and a direct write jumping
-// ahead of a buffered older store would later be overwritten by it.
-func (n *Node) retireNonSpecStore(addr memtypes.Addr, val memtypes.Word) (bool, cpu.StallReason) {
-	if coherence.TraceOn() {
-		coherence.TraceEvent(n.now, addr, "node%d retireNonSpecStore val=%d", n.id, val)
-	}
+	// The baseline RMO path: store hits retire directly into the L1;
+	// misses coalesce in the store buffer. A store may only bypass the
+	// buffer if the buffer holds nothing for its block: buffered entries
+	// drain in age order, and a direct write jumping ahead of a buffered
+	// older store would later be overwritten by it.
 	block := memtypes.BlockAddr(addr)
 	line := n.l1.Peek(addr)
-	if line != nil && line.State.Writable() && !n.sbHasBlock(block) {
+	if line != nil && line.State.Writable() && !n.coalSB.HasBlock(block) {
 		if _, cleaning := n.cleanings[block]; !cleaning {
-			line.Data[memtypes.WordIndex(addr)] = val
-			line.State = cache.Modified
-			return true, cpu.StallNone
+			return headPlan{step: stepWrite, line: line}
 		}
 	}
-	if !n.coalSB.Store(addr, val, storebuffer.NonSpecEpoch) {
-		return false, cpu.StallSBFull
+	if !n.coalSB.CanStore(block, storebuffer.NonSpecEpoch) {
+		return fullStall(&n.coalSB.FullStalls)
 	}
-	n.requestBlock(block, true)
-	return true, cpu.StallNone
+	return headPlan{step: stepBuffer, line: line, request: true}
 }
 
-// sbHasBlock reports whether the coalescing buffer holds any entry (of any
-// epoch class) for the block.
-func (n *Node) sbHasBlock(block memtypes.Addr) bool {
-	return n.coalSB.HasBlock(block)
-}
-
-// retireSpecStore is the §3.2 speculative store path.
-func (n *Node) retireSpecStore(addr memtypes.Addr, val memtypes.Word) (bool, cpu.StallReason) {
+// classifySpecStore is the §3.2 speculative store path.
+func (n *Node) classifySpecStore(addr memtypes.Addr) headPlan {
 	y := n.engine.YoungestEpoch()
 	block := memtypes.BlockAddr(addr)
 	line := n.l1.Peek(addr)
 	_, cleaning := n.cleanings[block]
-
-	if coherence.TraceOn() {
-		coherence.TraceEvent(n.now, addr, "node%d retireSpecStore val=%d epoch=%d", n.id, val, y)
-	}
-	direct := false
-	if line != nil && line.State.Writable() && !cleaning && !n.sbHasBlock(block) {
+	clean, direct := false, false
+	if line != nil && line.State.Writable() && !cleaning && !n.coalSB.HasBlock(block) {
 		// (The buffer must hold nothing for this block: a direct write
 		// jumping ahead of a buffered older-epoch store would later be
 		// overwritten when that entry drains.)
@@ -224,33 +264,31 @@ func (n *Node) retireSpecStore(addr memtypes.Addr, val memtypes.Word) (bool, cpu
 			// Non-speculatively dirty: the pre-speculative value must
 			// survive abort. Clean-writeback in the background; the store
 			// waits in the buffer meanwhile (§3.2).
-			n.startCleaning(block)
-		} else if n.heldByOlderEpoch(line, y) {
+			clean = true
+		} else {
 			// Written by an older in-flight checkpoint: hold in the buffer
 			// until that checkpoint commits (§3.1).
-		} else {
-			direct = true
+			direct = !n.heldByOlderEpoch(line, y)
 		}
 	}
-	if direct {
-		if !n.engine.OnSpecStore() {
-			return false, cpu.StallSBFull // ASO SSB full
-		}
-		line.Data[memtypes.WordIndex(addr)] = val
-		line.State = cache.Modified
-		n.l1.MarkSpecWritten(line, y)
-		return true, cpu.StallNone
+	var p headPlan
+	switch {
+	case n.engine.SSBWouldBlock():
+		p = stall(cpu.StallSBFull) // ASO SSB full: refused before anything is counted
+	case direct:
+		p = headPlan{step: stepWrite}
+	case n.coalSB.CanStore(block, y) || n.engine.Config().Mode == ifcore.ModeASO:
+		// Under ASO the store counts into the SSB before the push, so even
+		// a push that fails on a full buffer mutates.
+		p = headPlan{step: stepBuffer, request: line == nil || !line.State.Writable()}
+	default:
+		p = fullStall(&n.coalSB.FullStalls)
 	}
-	if !n.engine.OnSpecStore() {
-		return false, cpu.StallSBFull
+	p.line, p.clean = line, clean
+	if clean {
+		p.wait = waitMutates
 	}
-	if !n.coalSB.Store(addr, val, y) {
-		return false, cpu.StallSBFull
-	}
-	if line == nil || !line.State.Writable() {
-		n.requestBlock(block, true)
-	}
-	return true, cpu.StallNone
+	return p
 }
 
 // heldByOlderEpoch reports whether an older active checkpoint wrote this
@@ -267,60 +305,66 @@ func (n *Node) heldByOlderEpoch(line *cache.Line, y int) bool {
 	return false
 }
 
-// RetireAtomic implements cpu.Backend: the conventional Figure 2 rules or
-// the §3.2 load+store decomposition under speculation.
+// RetireAtomic implements cpu.Backend.
 func (n *Node) RetireAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.Word) (bool, memtypes.Word, cpu.StallReason) {
-	if n.engine.Speculating() {
-		return n.retireSpecAtomic(op, addr, opA, opB)
+	p := n.classifyAtomic(op, addr, opA, opB, true)
+	if p.step == stepBegin {
+		n.engine.Begin()
+		p = n.classifyAtomic(op, addr, opA, opB, true)
 	}
-	rules := consistency.RulesFor(n.cfg.Model)
-	if rules.AtomicNeedsDrain && !n.sbEmpty() {
+	if ok, why := n.apply(p, addr); !ok {
+		return false, 0, why
+	}
+	return true, p.old, cpu.StallNone
+}
+
+// classifyAtomic is RetireAtomic's decision: the conventional Figure 2
+// rules, or the §3.2 load+store decomposition under speculation. opsOK
+// reports that opA/opB are known; without them the outcome of a
+// speculative atomic's store half is unknown and it classifies as
+// mutating.
+func (n *Node) classifyAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.Word, opsOK bool) headPlan {
+	if n.engine.Speculating() {
+		return n.classifySpecAtomic(op, addr, opA, opB, opsOK)
+	}
+	if consistency.RulesFor(n.cfg.Model).AtomicNeedsDrain && !n.sbEmpty() {
 		// SC/TSO (and RC, whose atomics are synchronization accesses):
 		// drain before the atomic -- or speculate (Figure 4).
-		if n.canTriggerSpeculationOn(trigAtomic) {
-			n.engine.Begin()
-			return n.retireSpecAtomic(op, addr, opA, opB)
-		}
-		return false, 0, cpu.StallSBDrain
+		return n.drainOrBegin(false)
 	}
+	block := memtypes.BlockAddr(addr)
 	line := n.l1.Peek(addr)
 	if line == nil {
-		n.requestBlock(memtypes.BlockAddr(addr), true)
-		return false, 0, cpu.StallOther // data miss
+		return n.requestPlan(block, cpu.StallOther) // data miss
 	}
 	if !line.State.Writable() {
 		// Ownership wait ("complete store", Figure 2). Under RMO and RC
 		// this is the Figure 4 atomic trigger.
 		if (n.cfg.Model == consistency.RMO || n.cfg.Model == consistency.RC) &&
-			n.canTriggerSpeculationOn(trigAtomic) {
-			n.engine.Begin()
-			return n.retireSpecAtomic(op, addr, opA, opB)
+			n.canTriggerSpeculation(false) {
+			return headPlan{step: stepBegin}
 		}
-		n.requestBlock(memtypes.BlockAddr(addr), true)
-		return false, 0, cpu.StallSBDrain // atomic-induced ordering stall (Fig. 1)
+		return n.requestPlan(block, cpu.StallSBDrain) // atomic-induced ordering stall (Fig. 1)
 	}
-	if _, cleaning := n.cleanings[memtypes.BlockAddr(addr)]; cleaning {
-		return false, 0, cpu.StallOther
+	if _, cleaning := n.cleanings[block]; cleaning {
+		return stall(cpu.StallOther)
 	}
-	if n.coalSB != nil && n.sbHasBlock(memtypes.BlockAddr(addr)) {
+	if n.coalSB != nil && n.coalSB.HasBlock(block) {
 		// A buffered store to this block must drain first (RMO permits a
 		// non-empty buffer at atomics); the direct RMW may not jump ahead
 		// of it in the block's age order.
-		return false, 0, cpu.StallSBDrain
+		return stall(cpu.StallSBDrain)
 	}
-	wi := memtypes.WordIndex(addr)
-	old := line.Data[wi]
-	if nv, doWrite := cpu.AtomicApply(op, old, opA, opB); doWrite {
-		line.Data[wi] = nv
-		line.State = cache.Modified
+	p := headPlan{line: line, old: line.Data[memtypes.WordIndex(addr)]}
+	if nv, doWrite := cpu.AtomicApply(op, p.old, opA, opB); doWrite {
+		p.step, p.val = stepWrite, nv
 	}
-	return true, old, cpu.StallNone
+	return p
 }
 
-// retireSpecAtomic treats the atomic as a load+store pair contained in one
-// speculation (§3.2).
-func (n *Node) retireSpecAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.Word) (bool, memtypes.Word, cpu.StallReason) {
-	y := n.engine.YoungestEpoch()
+// classifySpecAtomic treats the atomic as a load+store pair contained in
+// one speculation (§3.2).
+func (n *Node) classifySpecAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.Word, opsOK bool) headPlan {
 	// Load half. Unlike a plain load, an atomic's read must stay adjacent
 	// to its paired write in the global order, so it must always pin a
 	// readable L1 copy with the speculatively-read bit — even when the
@@ -329,41 +373,87 @@ func (n *Node) retireSpecAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes
 	// go undetected and break read-modify-write atomicity.
 	line := n.l1.Peek(addr)
 	if line == nil {
-		n.requestBlock(memtypes.BlockAddr(addr), true)
-		return false, 0, cpu.StallOther // need the data itself
+		return n.requestPlan(memtypes.BlockAddr(addr), cpu.StallOther) // need the data itself
 	}
-	var old memtypes.Word
+	if !opsOK {
+		return headPlan{}
+	}
+	old := line.Data[memtypes.WordIndex(addr)]
 	if v, ok := n.coalSB.Forward(addr); ok {
 		old = v
-	} else {
-		old = line.Data[memtypes.WordIndex(addr)]
 	}
-	n.l1.MarkSpecRead(line, y)
+	p := headPlan{} // a failed CAS retires read-only
 	nv, doWrite := cpu.AtomicApply(op, old, opA, opB)
-	if !doWrite {
-		return true, old, cpu.StallNone // failed CAS: read-only
+	if doWrite {
+		p = n.classifySpecStore(addr) // the store half
 	}
-	ok, why := n.retireSpecStore(addr, nv)
-	if !ok {
-		return false, 0, why
+	p.line, p.markRead, p.val, p.old = line, true, nv, old
+	if !line.SpecRead[n.engine.YoungestEpoch()] {
+		p.wait = waitMutates // the attempt sets the read bit
 	}
-	return true, old, cpu.StallNone
+	return p
 }
 
-// RetireFence implements cpu.Backend: fences retire freely inside a
-// speculation (§3.2); conventionally they drain the store buffer.
+// RetireFence implements cpu.Backend.
 func (n *Node) RetireFence() (bool, cpu.StallReason) {
-	if n.engine.Speculating() {
-		return true, cpu.StallNone
-	}
-	if n.sbEmpty() {
-		return true, cpu.StallNone
-	}
-	if n.canTriggerSpeculationOn(trigFence) {
+	p := n.classifyFence()
+	if p.step == stepBegin {
 		n.engine.Begin()
-		return true, cpu.StallNone
+		p = n.classifyFence()
 	}
-	return false, cpu.StallSBDrain
+	return n.apply(p, 0)
+}
+
+// classifyFence is RetireFence's decision: fences retire freely inside a
+// speculation (§3.2); conventionally they drain the store buffer.
+func (n *Node) classifyFence() headPlan {
+	if n.engine.Speculating() || n.sbEmpty() {
+		return headPlan{}
+	}
+	return n.drainOrBegin(false)
+}
+
+// apply performs exactly the mutations plan p names for the head at addr,
+// in order, and reports whether the instruction retired. Stores carry the
+// youngest epoch: storebuffer.NonSpecEpoch (-1) when not speculating.
+func (n *Node) apply(p headPlan, addr memtypes.Addr) (bool, cpu.StallReason) {
+	y := n.engine.YoungestEpoch()
+	block := memtypes.BlockAddr(addr)
+	if p.markRead {
+		n.l1.MarkSpecRead(p.line, y)
+	}
+	if p.clean {
+		n.startCleaning(block)
+	}
+	if coherence.TraceOn() && (p.step == stepWrite || p.step == stepBuffer || p.step == stepFullStall) {
+		coherence.TraceEvent(n.now, addr, "node%d retire store val=%d epoch=%d step=%d", n.id, p.val, y, p.step)
+	}
+	switch p.step {
+	case stepFullStall:
+		*p.stalls++
+	case stepRequest:
+		n.requestBlock(block, true)
+	case stepReplay:
+		n.core.SnoopBlock(block)
+	case stepPush:
+		n.fifoSB.Push(addr, p.val)
+	case stepWrite:
+		n.engine.OnSpecStore() // ASO SSB occupancy; classify ruled out a refusal
+		p.line.Data[memtypes.WordIndex(addr)] = p.val
+		p.line.State = cache.Modified
+		if y >= 0 {
+			n.l1.MarkSpecWritten(p.line, y)
+		}
+	case stepBuffer:
+		n.engine.OnSpecStore()
+		if !n.coalSB.Store(addr, p.val, y) {
+			return false, cpu.StallSBFull // ASO: counted into the SSB, then refused
+		}
+		if p.request {
+			n.requestBlock(block, true)
+		}
+	}
+	return p.why == cpu.StallNone, p.why
 }
 
 // OnRetireInstr implements cpu.Backend.
@@ -390,16 +480,10 @@ func (n *Node) CaptureCheckpoint() ([isa.NumRegs]memtypes.Word, int) {
 
 // RestoreCheckpoint implements core.Host (the abort path's pipeline flush
 // and register restore).
-func (n *Node) restoreTrace(regs [isa.NumRegs]memtypes.Word, pc int) {
+func (n *Node) RestoreCheckpoint(regs [isa.NumRegs]memtypes.Word, pc int) {
 	if coherence.TraceOn() {
 		coherence.TraceAlways(n.now, "node%d RESTORE pc=%d r2=%d", n.id, pc, regs[2])
 	}
-}
-
-// RestoreCheckpoint implements core.Host (the abort path's pipeline flush
-// and register restore).
-func (n *Node) RestoreCheckpoint(regs [isa.NumRegs]memtypes.Word, pc int) {
-	n.restoreTrace(regs, pc)
 	n.core.FlushAll(regs, pc)
 }
 
@@ -436,8 +520,5 @@ func (n *Node) SBEpochDrained(epoch int) bool {
 	if n.coalSB == nil {
 		return true
 	}
-	if n.coalSB.CountEpoch(storebuffer.NonSpecEpoch) > 0 {
-		return false
-	}
-	return n.coalSB.CountEpoch(epoch) == 0
+	return n.coalSB.CountEpoch(storebuffer.NonSpecEpoch) == 0 && n.coalSB.CountEpoch(epoch) == 0
 }

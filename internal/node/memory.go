@@ -110,10 +110,9 @@ func (n *Node) issueRequests() {
 // requestBlock ensures a miss request is outstanding for block. wantX asks
 // for write permission. It returns false if no MSHR could be allocated.
 func (n *Node) requestBlock(block memtypes.Addr, wantX bool) bool {
-	if m, ok := n.mshrs[block]; ok {
+	if _, ok := n.mshrs[block]; ok {
 		// An upgrade of intent (S->X) while a GetS is in flight is handled
 		// after the fill completes; the drain loop re-requests.
-		_ = m
 		return true
 	}
 	// Local L2 can serve misses that don't need an ownership change.

@@ -6,6 +6,11 @@
 // consistency rules, speculation triggers per Figure 4) and core.Host (the
 // machine-state primitives the engine drives: checkpoint restore, flash
 // operations, store-buffer flush).
+//
+// Retirement is classify-then-apply: a read-only classifier turns each
+// attempt into a headPlan, and apply performs what the plan names. The
+// event loop's wake hint (NextEvent) and skip replay (SkipCycles) read the
+// same plan for the ROB head, so the policy is written once (backend.go).
 package node
 
 import (
@@ -205,9 +210,6 @@ func (n *Node) Stats() *stats.NodeStats { return n.st }
 // Now implements core.Host.
 func (n *Node) Now() uint64 { return n.now }
 
-// Halted reports whether the core has retired its Halt.
-func (n *Node) Halted() bool { return n.core.Halted() }
-
 // Finished reports whether the node is fully quiesced: program halted,
 // speculation resolved, stores drained, no outstanding misses.
 func (n *Node) Finished() bool {
@@ -294,11 +296,14 @@ func (n *Node) deliver() {
 // memtypes.NoEvent when every pending activity is waiting on an external
 // input. The contract is one-sided: the hint must never be later than the
 // node's true next state change, but may be earlier (costing only a tick).
+// The ROB head's term is not a separate model of retirement: it reads the
+// wait kind of the headPlan the next Retire* call will apply.
 //
 // The method is read-only with respect to simulated state, so the answer
 // never perturbs a run: a simulation executed with idle-skip is bit-exact
 // against the naive lock-step loop (enforced by TestGoldenResults and
-// TestIdleSkipBitExact).
+// TestIdleSkipBitExact), and no node changes state before its hint
+// (TestHintAudit).
 func (n *Node) NextEvent() uint64 {
 	// Unconsumed deliveries, parked probes/fills, and unsent miss requests
 	// are all retried next cycle.
@@ -335,293 +340,55 @@ func (n *Node) NextEvent() uint64 {
 	return next
 }
 
-// headRetireEvent folds retirement policy into the horizon: when the ROB
-// head is ready to invoke the backend, decide — using the same Figure 2
-// rules (or, under speculation, the §3.2 speculative paths) the backend
-// applies — whether next cycle's attempt could change state (retire, begin
-// a speculation, allocate a miss, bump a stall counter) or is a provably
-// pure wait on events tracked elsewhere (store buffer drains, fills,
-// cleanings, epoch commits). Pure waits contribute no event; any doubt
-// costs only a conservative now+1. The hint is read-only and never later
-// than the true next state change (the simulator-wide monotonicity
-// contract, see Node.NextEvent).
+// headRetireEvent folds the retirement policy into the horizon. A ready
+// head whose plan is a pure or full-stall wait contributes no event: it
+// wakes through the store-buffer drains, fills, cleanings and epoch
+// commits tracked elsewhere, and SkipCycles replays a full stall's
+// counter. Any other ready head acts next cycle.
 func (n *Node) headRetireEvent() uint64 {
 	hs := n.core.HeadState()
-	if !hs.Valid {
+	switch {
+	case !hs.Valid:
+		return memtypes.NoEvent
+	case !hs.Ready:
+		return hs.ReadyAt // NoEvent when only a fill can unblock it
+	case n.headPlan(hs).wait != waitMutates:
 		return memtypes.NoEvent
 	}
-	if !hs.Ready {
-		return hs.ReadyAt // NoEvent when only a fill can unblock it
-	}
-	if n.engine.Speculating() {
-		return n.specHeadRetireEvent(hs)
-	}
-	// Non-speculating head. canTriggerSpeculationOn is consulted exactly
-	// where the backend would call Begin — a blanket now+1 whenever the
-	// engine *could* begin would misclassify every pure wait on the paths
-	// that never trigger (e.g. an SC atomic's ownership wait), which is
-	// precisely where lock-contended workloads spend their cycles.
-	rules := consistency.RulesFor(n.cfg.Model)
+	return n.now + 1
+}
+
+// headPlan classifies the ready ROB head's next retirement attempt with
+// the classifier its Retire* call will use. A load's value source only
+// picks between outcomes that all mutate, so loads assume the memory system.
+func (n *Node) headPlan(hs cpu.HeadState) headPlan {
 	switch {
-	case hs.Op == isa.Halt:
-		return n.now + 1
 	case hs.Op == isa.Fence:
-		if n.sbEmpty() {
-			return n.now + 1 // retires
-		}
-		if n.canTriggerSpeculationOn(trigFence) {
-			return n.now + 1 // RetireFence begins a speculation instead
-		}
-		return memtypes.NoEvent // pure drain wait (RetireFence mutates nothing)
-	case hs.Op.IsLoad():
-		if rules.LoadNeedsDrain && !n.sbEmpty() {
-			if n.canTriggerSpeculationOn(trigLoad) {
-				return n.now + 1 // RetireLoad begins a speculation instead
-			}
-			return memtypes.NoEvent // pure drain wait (SC)
-		}
-		return n.now + 1 // retires
-	case hs.Op.IsStore():
-		if n.fifoSB != nil {
-			if n.fifoSB.Full() {
-				// Blocked push; each attempt counts a FullStall, which
-				// SkipCycles replicates for the skipped stretch.
-				return memtypes.NoEvent
-			}
-			return n.now + 1 // pushes
-		}
-		switch n.cfg.Model {
-		case consistency.SC, consistency.TSO:
-			if !n.sbEmpty() {
-				if n.canTriggerSpeculationOn(trigStore) {
-					return n.now + 1 // RetireStore begins a speculation instead
-				}
-				return memtypes.NoEvent // pure drain-grace wait
-			}
-		case consistency.RC:
-			if hs.Op.IsRelease() && !n.sbEmpty() {
-				if n.canTriggerSpeculationOn(trigRelease) {
-					return n.now + 1 // RetireStore begins a speculation instead
-				}
-				return memtypes.NoEvent // pure release-drain wait
-			}
-		}
-		if n.coalStoreWouldStall(hs.Addr) {
-			return memtypes.NoEvent // counted FullStall; SkipCycles replicates
-		}
-		return n.now + 1
-	case hs.Op.IsAtomic():
-		if rules.AtomicNeedsDrain && !n.sbEmpty() {
-			if n.canTriggerSpeculationOn(trigAtomic) {
-				return n.now + 1 // RetireAtomic begins a speculation instead
-			}
-			return memtypes.NoEvent // pure drain wait
-		}
-		block := memtypes.BlockAddr(hs.Addr)
-		line := n.l1.Peek(block)
-		if line == nil || !line.State.Writable() {
-			if (n.cfg.Model == consistency.RMO || n.cfg.Model == consistency.RC) &&
-				n.canTriggerSpeculationOn(trigAtomic) {
-				return n.now + 1 // the Figure 4 RMO/RC atomic trigger fires
-			}
-			// Ownership wait; requestBlock is idempotent once the miss is
-			// outstanding. Without an MSHR the next attempt allocates one.
-			if _, ok := n.mshrs[block]; ok {
-				return memtypes.NoEvent
-			}
-			return n.now + 1
-		}
-		if _, cleaning := n.cleanings[block]; cleaning {
-			return memtypes.NoEvent // wakes at the cleaning's done cycle
-		}
-		if n.coalSB != nil && n.sbHasBlock(block) {
-			return memtypes.NoEvent // wakes on store-buffer drains
-		}
-		return n.now + 1 // performs the RMW
-	default:
-		return n.now + 1 // plain op retires (no backend involvement)
+		return n.classifyFence()
+	case hs.Op.IsLoad() && hs.AddrOK:
+		return n.classifyLoad(hs.Addr, true)
+	case hs.Op.IsStore() && hs.AddrOK:
+		return n.classifyStore(hs.Op, hs.Addr)
+	case hs.Op.IsAtomic() && hs.AddrOK:
+		return n.classifyAtomic(hs.Op, hs.Addr, hs.OpA, hs.OpB, hs.OpsOK)
 	}
+	return headPlan{} // Halt (the engine's halt request) and plain ops retire
 }
 
-// specHeadRetireEvent classifies the ROB head's retirement attempt while a
-// speculation is live (the ROADMAP's "skippable speculation waits"). The
-// Invisi_* configurations speculate almost continuously, so every pure wait
-// recognized here is a cycle the per-node schedulers can skip. The mirror
-// relationship is with the retireSpec* paths in backend.go; SkipCycles
-// replicates the one per-cycle counter a skippable blocked attempt bumps.
-func (n *Node) specHeadRetireEvent(hs cpu.HeadState) uint64 {
-	switch {
-	case hs.Op.IsLoad():
-		// retireSpecLoad either retires (marking the speculatively-read
-		// bit) or detects a racing eviction and replays: state changes
-		// either way.
-		return n.now + 1
-	case hs.Op.IsStore():
-		switch n.specStoreOutcome(hs.Addr) {
-		case specStoreWaitPure, specStoreWaitStall:
-			// Wakes through tracked events: store-buffer drains
-			// (sbNextEvent, fills, cleanings) and epoch commits
-			// (engine.NextEvent); the stall counter is replayed in bulk.
-			return memtypes.NoEvent
-		}
-		return n.now + 1
-	case hs.Op.IsAtomic():
-		if n.specAtomicWaitsOnMiss(hs) {
-			return memtypes.NoEvent // pure fill wait; requestBlock is idempotent
-		}
-		if out, ok := n.specAtomicStoreOutcome(hs); ok {
-			switch out {
-			case specStoreWaitPure, specStoreWaitStall:
-				// Buffer-blocked store half: wakes through tracked events
-				// (store-buffer drains, fills, cleanings, epoch commits);
-				// the stall counter is replayed in bulk by SkipCycles.
-				return memtypes.NoEvent
-			}
-		}
-		return n.now + 1
-	default:
-		// Halt (engine halt-request), Fence (retires freely inside a
-		// speculation), plain ops: all change state next cycle.
-		return n.now + 1
-	}
-}
-
-// specStoreOutcome classifies, read-only, what the next retireSpecStore
-// attempt for a head store to addr would do.
-type specStoreOutcome uint8
-
-const (
-	// specStoreProgress: the attempt mutates state — a direct L1 write, a
-	// cleaning writeback kickoff, a buffer allocation/merge, an ownership
-	// request, or (ASO) an SSB occupancy bump on a failed push.
-	specStoreProgress specStoreOutcome = iota
-	// specStoreWaitPure: the attempt provably mutates nothing (ASO SSB at
-	// capacity: OnSpecStore refuses before anything is counted).
-	specStoreWaitPure
-	// specStoreWaitStall: the attempt only bumps the coalescing buffer's
-	// FullStalls counter (full buffer, no same-epoch merge target), which
-	// SkipCycles replicates for skipped cycles.
-	specStoreWaitStall
+var (
+	stepNames = [...]string{"retire", "stall", "full-stall", "begin", "request", "replay", "push", "write", "buffer"}
+	waitNames = [...]string{"mutates", "pure", "full-stall"}
 )
 
-func (n *Node) specStoreOutcome(addr memtypes.Addr) specStoreOutcome {
-	y := n.engine.YoungestEpoch()
-	block := memtypes.BlockAddr(addr)
-	line := n.l1.Peek(addr)
-	_, cleaning := n.cleanings[block]
-	if line != nil && line.State.Writable() && !cleaning && !n.sbHasBlock(block) {
-		if line.State == cache.Modified && !line.SpecWrittenAny() {
-			return specStoreProgress // would start a cleaning writeback
-		}
-		if !n.heldByOlderEpoch(line, y) {
-			return specStoreProgress // direct speculative write retires
-		}
+// HeadPlan names the ROB head's next retirement attempt as "step/wait"
+// (for example "stall/pure"), or "none" when the retirement policy will
+// not be consulted next cycle. Diagnostics only.
+func (n *Node) HeadPlan() string {
+	if hs := n.core.HeadState(); hs.Valid && hs.Ready {
+		p := n.headPlan(hs)
+		return stepNames[p.step] + "/" + waitNames[p.wait]
 	}
-	if n.engine.SSBWouldBlock() {
-		return specStoreWaitPure
-	}
-	if !n.coalSB.Full() || n.specCanMerge(block, y) {
-		return specStoreProgress // buffer push succeeds, store retires
-	}
-	// Failed push: no ownership request follows (the push gates it), so
-	// the only per-cycle mutation is the buffer's FullStalls counter —
-	// except in ASO mode, where OnSpecStore counts the store into the SSB
-	// before the push fails, and SSB occupancy is drain-cost-visible state.
-	if n.engine.Config().Mode == ifcore.ModeASO {
-		return specStoreProgress
-	}
-	return specStoreWaitStall
-}
-
-// specCanMerge reports whether a speculative store of epoch y to block
-// would coalesce into the youngest same-block entry (mirrors
-// Coalescing.Store's merge rule).
-func (n *Node) specCanMerge(block memtypes.Addr, y int) bool {
-	entries := n.coalSB.Entries()
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].Block == block {
-			return entries[i].Epoch == y
-		}
-	}
-	return false
-}
-
-// specAtomicWaitsOnMiss reports whether a head atomic under speculation is
-// a pure wait on an already-outstanding fill: retireSpecAtomic needs the
-// block data itself, and with the miss in flight its requestBlock retry is
-// idempotent. Any other state (no MSHR yet, or line present) can mutate on
-// the next attempt.
-func (n *Node) specAtomicWaitsOnMiss(hs cpu.HeadState) bool {
-	if !hs.AddrOK {
-		return false
-	}
-	block := memtypes.BlockAddr(hs.Addr)
-	if n.l1.Peek(hs.Addr) != nil {
-		return false
-	}
-	_, outstanding := n.mshrs[block]
-	return outstanding
-}
-
-// specAtomicStoreOutcome classifies, read-only, the store half of a
-// speculative atomic whose line is present: the §3.2 load+store
-// decomposition retries retireSpecAtomic every cycle when the write cannot
-// buffer, which used to be a dense now+1 horizon (the last one under
-// speculation — see ROADMAP). Deciding the write's fate needs the head's
-// operand values (a failed CAS retires read-only), plumbed through
-// cpu.HeadState. ok is false when the next attempt provably mutates state
-// before reaching the store half — an unmarked speculatively-read bit
-// (violation detection depends on the marking, so it is never skipped), a
-// missing line, or a CAS that fails and therefore retires.
-func (n *Node) specAtomicStoreOutcome(hs cpu.HeadState) (specStoreOutcome, bool) {
-	if !hs.AddrOK || !hs.OpsOK || n.coalSB == nil {
-		return 0, false
-	}
-	line := n.l1.Peek(hs.Addr)
-	if line == nil {
-		return 0, false // miss path: specAtomicWaitsOnMiss owns it
-	}
-	y := n.engine.YoungestEpoch()
-	if y < 0 || !line.SpecRead[y] {
-		return 0, false // next attempt marks the read bit: a mutation
-	}
-	old := line.Data[memtypes.WordIndex(hs.Addr)]
-	if v, ok := n.coalSB.Forward(hs.Addr); ok {
-		old = v
-	}
-	if _, doWrite := cpu.AtomicApply(hs.Op, old, hs.OpA, hs.OpB); !doWrite {
-		return 0, false // failed CAS: retires read-only next attempt
-	}
-	return n.specStoreOutcome(hs.Addr), true
-}
-
-// coalStoreWouldStall mirrors retireNonSpecStore's failure path: the store
-// can neither write the L1 directly, nor merge, nor allocate a new entry.
-func (n *Node) coalStoreWouldStall(addr memtypes.Addr) bool {
-	block := memtypes.BlockAddr(addr)
-	line := n.l1.Peek(addr)
-	if line != nil && line.State.Writable() && !n.sbHasBlock(block) {
-		if _, cleaning := n.cleanings[block]; !cleaning {
-			return false // direct write succeeds
-		}
-	}
-	if !n.coalSB.Full() {
-		return false // a fresh entry can be allocated
-	}
-	// Full buffer: only a same-class merge can still succeed.
-	return !n.coalCanMerge(block)
-}
-
-// coalCanMerge reports whether a non-speculative store to block would
-// coalesce into the youngest same-block entry (mirrors Coalescing.Store).
-func (n *Node) coalCanMerge(block memtypes.Addr) bool {
-	entries := n.coalSB.Entries()
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].Block == block {
-			return entries[i].Epoch == storebuffer.NonSpecEpoch
-		}
-	}
-	return false
+	return "none"
 }
 
 // sbNextEvent reports when the store-buffer drain engine would next act.
@@ -670,7 +437,8 @@ func (n *Node) sbNextEvent() uint64 {
 // in which the simulator proved no component makes progress. Frozen state
 // means every skipped cycle classifies exactly like the cycle just ticked
 // (NextEvent refuses to skip after a retiring cycle), so cycle accounting
-// is replayed in bulk; the core replicates its own per-cycle counters.
+// is replayed in bulk; the core replicates its own per-cycle counters, and
+// a full-stall head plan gets its k suppressed FullStalls.
 func (n *Node) SkipCycles(k uint64) {
 	if n.accounting {
 		var cl stats.CycleClass
@@ -685,59 +453,10 @@ func (n *Node) SkipCycles(k uint64) {
 		n.st.AccountN(cl, n.engine.YoungestEpoch(), k)
 	}
 	n.core.SkipCycles(k)
-	// A head store blocked on a full store buffer counts one FullStall per
-	// attempted push; replicate the attempts the skip suppressed. (These
-	// are the only per-cycle mutations a blocked retirement makes — every
-	// other skippable head wait is pure, see headRetireEvent and
-	// specStoreOutcome.)
-	hs := n.core.HeadState()
-	if !hs.Valid || !hs.Ready || !(hs.Op.IsStore() || hs.Op.IsAtomic()) {
-		return
-	}
-	if hs.Op.IsAtomic() {
-		// Mirror of specHeadRetireEvent's atomic case: only a WaitStall-
-		// classified store half bumps the coalescing buffer's FullStalls per
-		// attempt. Every other skippable atomic wait (fill wait, non-spec
-		// drain/ownership wait, ASO SSB refusal) mutates nothing per cycle.
-		if n.engine.Speculating() {
-			if out, ok := n.specAtomicStoreOutcome(hs); ok && out == specStoreWaitStall {
-				n.coalSB.FullStalls += k
-			}
+	if hs := n.core.HeadState(); hs.Valid && hs.Ready {
+		if p := n.headPlan(hs); p.wait == waitFullStall {
+			*p.stalls += k
 		}
-		return
-	}
-	if n.engine.Speculating() {
-		// Mirror of specHeadRetireEvent: only a WaitStall-classified head
-		// bumps a counter per attempt (a WaitPure head — ASO SSB full — is
-		// refused before anything is counted).
-		if n.specStoreOutcome(hs.Addr) == specStoreWaitStall {
-			n.coalSB.FullStalls += k
-		}
-		return
-	}
-	if n.fifoSB != nil {
-		if n.fifoSB.Full() {
-			n.fifoSB.FullStalls += k
-		}
-		return
-	}
-	// Mirror of RetireStore's non-speculating coalescing path: with a
-	// non-empty buffer under SC/TSO (or at an RC releasing store) the
-	// attempt either begins a speculation (never skipped, headRetireEvent
-	// returns now+1) or waits for the drain without touching the buffer;
-	// only past that gate does a failed push count a FullStall per attempt.
-	switch n.cfg.Model {
-	case consistency.SC, consistency.TSO:
-		if !n.sbEmpty() {
-			return
-		}
-	case consistency.RC:
-		if hs.Op.IsRelease() && !n.sbEmpty() {
-			return
-		}
-	}
-	if n.coalStoreWouldStall(hs.Addr) {
-		n.coalSB.FullStalls += k
 	}
 }
 

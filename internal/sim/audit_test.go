@@ -3,14 +3,18 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"testing"
 
+	"invisifence/internal/cache"
 	"invisifence/internal/consistency"
 	ifcore "invisifence/internal/core"
 	"invisifence/internal/cpu"
 	"invisifence/internal/isa"
+	"invisifence/internal/memctrl"
 	"invisifence/internal/network"
 	"invisifence/internal/node"
+	"invisifence/internal/workload"
 )
 
 // fingerprint is a cheap snapshot of one node's simulated state: counters
@@ -68,6 +72,16 @@ func changedField(a, b fingerprint) string {
 	return ""
 }
 
+// auditReport counts the audited run's hint-driven ticks. An early tick is
+// one the hint made due (no delivery waiting) that left the fingerprint
+// unchanged: a wasted tick of the event loop, as far as the fingerprint
+// can see. early groups them by the head plan (Node.HeadPlan) the hint
+// was computed with.
+type auditReport struct {
+	deliveryTicks, hintTicks, earlyTicks uint64
+	ticks, early                         map[string]uint64 // hint-driven and early ticks by head plan
+}
+
 // runAudited is runLockstep with a hint audit: a copy of the lock-step
 // loop that, alongside every node tick, replays the event loop's per-node
 // decision. A node is due at cycle t when its last NextEvent hint is <= t
@@ -77,7 +91,7 @@ func changedField(a, b fingerprint) string {
 // late and the event loop would have skipped a real state change. The
 // audit fails the test at the first late hint, naming the node, the
 // cycle, the hint and the field that changed.
-func runAudited(t testing.TB, s *System) Result {
+func runAudited(t testing.TB, s *System) (Result, auditReport) {
 	t.Helper()
 	if len(s.shards) != 1 {
 		t.Fatalf("audit needs the unclustered lock-step system (DisableIdleSkip)")
@@ -88,25 +102,39 @@ func runAudited(t testing.TB, s *System) Result {
 	sent := make([]uint64, nn)
 	prev := make([]fingerprint, nn)
 	head := make([]cpu.HeadState, nn) // the ROB head each hint was computed for
+	plan := make([]string, nn)        // and its plan
+	rep := auditReport{ticks: map[string]uint64{}, early: map[string]uint64{}}
 	for i, n := range s.nodes {
 		horizon[i] = 1 // before its first tick every node is one fetch away from work
 		prev[i] = fingerprintOf(n, 0)
+		plan[i] = "start"
 	}
 	for {
 		s.now++
 		net.Tick(s.now)
 		for i, n := range s.nodes {
-			due := horizon[i] <= s.now || net.InboxLen(network.NodeID(i)) > 0
+			delivery := net.InboxLen(network.NodeID(i)) > 0
+			due := horizon[i] <= s.now || delivery
 			before := net.Sent
 			n.Tick(s.now)
 			sent[i] += net.Sent - before
 			fp := fingerprintOf(n, sent[i])
-			if !due && fp != prev[i] {
-				t.Fatalf("late hint: node %d changed state at cycle %d before its hint %d with an empty inbox: %s (head at the hint: %+v)",
-					i, s.now, horizon[i], changedField(prev[i], fp), head[i])
+			switch {
+			case !due && fp != prev[i]:
+				t.Fatalf("late hint: node %d changed state at cycle %d before its hint %d with an empty inbox: %s (head at the hint: %+v, plan %s)",
+					i, s.now, horizon[i], changedField(prev[i], fp), head[i], plan[i])
+			case delivery:
+				rep.deliveryTicks++
+			case due:
+				rep.hintTicks++
+				rep.ticks[plan[i]]++
+				if fp == prev[i] {
+					rep.earlyTicks++
+					rep.early[plan[i]]++
+				}
 			}
 			if due {
-				horizon[i], head[i] = n.NextEvent(), n.Core().HeadState()
+				horizon[i], head[i], plan[i] = n.NextEvent(), n.Core().HeadState(), n.HeadPlan()
 			}
 			prev[i] = fp
 		}
@@ -119,10 +147,10 @@ func runAudited(t testing.TB, s *System) Result {
 			}
 		}
 		if done {
-			return s.result(true)
+			return s.result(true), rep
 		}
 		if s.cfg.MaxCycles > 0 && s.now >= s.cfg.MaxCycles {
-			return s.result(false)
+			return s.result(false), rep
 		}
 	}
 }
@@ -164,10 +192,80 @@ func TestHintAudit(t *testing.T) {
 			}
 			events := New(cfg, progs, nil).Run()
 			cfg.DisableIdleSkip = true
-			audited := runAudited(t, New(cfg, progs, nil))
+			audited, _ := runAudited(t, New(cfg, progs, nil))
 			if !audited.Finished || !reflect.DeepEqual(audited, events) {
 				t.Errorf("audited lock-step diverged from the event loop:\naudited: %+v\nevents:  %+v", audited, events)
 			}
 		})
+	}
+}
+
+// TestHintAuditApache audits the two selective apache cells of cmd/bench's
+// grid — scale 1.0, seed 1, the Figure 6 machine, with the cycle counts
+// BENCH_6.json records — and logs their hint-driven and early ticks by
+// head plan (run with -v; EXPERIMENTS.md quotes the counts).
+func TestHintAuditApache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two scale-1.0 apache runs")
+	}
+	for _, c := range []struct {
+		name   string
+		model  consistency.Model
+		cycles uint64
+	}{
+		{"Invisi_sc", consistency.SC, 108465},
+		{"Invisi_rc", consistency.RC, 108258},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			wl, err := workload.Get("apache", workload.Params{Cores: 16, Model: c.model, Seed: 1, Scale: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := New(figure6Config(c.model, ifcore.DefaultSelective(c.model)), wl.Programs, wl.RegInit)
+			for a, v := range wl.MemInit {
+				s.WriteWord(a, v)
+			}
+			res, rep := runAudited(t, s)
+			if !res.Finished || res.Cycles != c.cycles {
+				t.Fatalf("apache/%s: finished=%v after %d cycles, want %d", c.name, res.Finished, res.Cycles, c.cycles)
+			}
+			plans := make([]string, 0, len(rep.ticks))
+			for p := range rep.ticks {
+				plans = append(plans, p)
+			}
+			sort.Strings(plans)
+			t.Logf("apache/%s: %d node-cycles, %d delivery ticks, %d hint-driven ticks (%d early); by head plan at the hint:",
+				c.name, res.Cycles*16, rep.deliveryTicks, rep.hintTicks, rep.earlyTicks)
+			for _, p := range plans {
+				t.Logf("  %-22s %8d ticks %8d early", p, rep.ticks[p], rep.early[p])
+			}
+		})
+	}
+}
+
+// figure6Config is the Figure 6 machine as invisifence.DefaultMachine
+// configures it, for a selective variant (8-entry coalescing buffer), run
+// lock-step.
+func figure6Config(model consistency.Model, eng ifcore.Config) Config {
+	return Config{
+		Net: network.Config{Width: 4, Height: 4, HopLatency: 100, LocalLatency: 1, Seed: 1},
+		Node: node.Config{
+			Model:              model,
+			Engine:             eng,
+			Core:               cpu.DefaultConfig(),
+			L1:                 cache.Config{SizeBytes: 64 << 10, Ways: 2, HitLatency: 2, Name: "L1"},
+			L2:                 cache.Config{SizeBytes: 1 << 20, Ways: 8, HitLatency: 25, Name: "L2"},
+			Memory:             memctrl.Config{AccessLatency: 160, Banks: 64, BankBusy: 8},
+			MSHRs:              32,
+			SBCapacity:         8,
+			StorePrefetchDepth: 8,
+			MsgsPerCycle:       8,
+			SnoopLQ:            true,
+			FillHoldCycles:     8,
+		},
+		MaxCycles:       500_000_000,
+		DisableIdleSkip: true,
 	}
 }

@@ -189,7 +189,8 @@ func FuzzRunnerEquivalence(f *testing.F) {
 				mutate(&cfg)
 				s := New(cfg, progs, regInits)
 				if cfg.DisableIdleSkip {
-					return runAudited(t, s) // the lock-step oracle, hint-audited
+					res, _ := runAudited(t, s) // the lock-step oracle, hint-audited
+					return res
 				}
 				return s.Run()
 			}

@@ -72,12 +72,13 @@ func specAtomicPressureProgram(tid, threads int) *isa.Program {
 }
 
 // TestIdleSkipBitExactSpecAtomicPressure pins the speculative-atomic stall
-// classification (cpu.HeadState operand plumbing + specAtomicStoreOutcome):
-// the lock-step loop, the event-horizon serial scheduler, and the parallel
-// runner must produce deeply-equal Results on a workload dominated by
-// buffer-blocked speculative atomics. A misclassified wait (skipping an
-// attempt that would have marked a bit, started a cleaning, counted a stall,
-// or retired a failed CAS) diverges here.
+// classification (cpu.HeadState operand plumbing + the node's
+// classifySpecAtomic): the hint-audited lock-step loop, the event-horizon
+// serial scheduler, and the parallel runner must produce deeply-equal
+// Results on a workload dominated by buffer-blocked speculative atomics. A
+// misclassified wait (skipping an attempt that would have marked a bit,
+// started a cleaning, counted a stall, or retired a failed CAS) diverges
+// here.
 func TestIdleSkipBitExactSpecAtomicPressure(t *testing.T) {
 	run := func(disable bool, clusters int) Result {
 		cfg := testConfig(2, 2, consistency.SC, ifcore.DefaultSelective(consistency.SC))
@@ -89,7 +90,12 @@ func TestIdleSkipBitExactSpecAtomicPressure(t *testing.T) {
 			progs[i] = specAtomicPressureProgram(i, nnodes)
 		}
 		s := New(cfg, progs, nil)
-		res := s.Run()
+		var res Result
+		if disable {
+			res, _ = runAudited(t, s)
+		} else {
+			res = s.Run()
+		}
 		if !res.Finished {
 			t.Fatalf("run (disableIdleSkip=%v clusters=%d) did not finish", disable, clusters)
 		}

@@ -75,6 +75,13 @@ func (c *Coalescing) mergeTarget(block memtypes.Addr, epoch int) *CoalescingEntr
 	return nil
 }
 
+// CanStore reports, read-only, whether Store of the given epoch class to
+// block would succeed: it merges into the block's youngest entry, or a
+// fresh entry fits. It is the merge rule the retirement classifier reads.
+func (c *Coalescing) CanStore(block memtypes.Addr, epoch int) bool {
+	return c.mergeTarget(block, epoch) != nil || !c.Full()
+}
+
 // Store buffers a retired store. It returns false (and counts a stall) if a
 // new entry is needed but the buffer is full.
 func (c *Coalescing) Store(addr memtypes.Addr, val memtypes.Word, epoch int) bool {

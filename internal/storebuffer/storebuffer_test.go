@@ -205,3 +205,52 @@ func TestCoalescingForwardVsReference(t *testing.T) {
 		}
 	}
 }
+
+// TestCoalescingCanStorePredictsStore pins CanStore — the read-only merge
+// rule the retirement classifier reads — to Store's return value on the
+// same buffer state, and checks that asking changes nothing.
+func TestCoalescingCanStorePredictsStore(t *testing.T) {
+	const a, b = memtypes.Addr(0x1000), memtypes.Addr(0x2000)
+	type st struct {
+		block memtypes.Addr
+		epoch int
+	}
+	cases := []struct {
+		name  string
+		cap   int
+		setup []st
+		store st
+		want  bool
+	}{
+		{"empty", 1, nil, st{a, NonSpecEpoch}, true},
+		{"same-epoch merge", 2, []st{{a, NonSpecEpoch}}, st{a, NonSpecEpoch}, true},
+		{"same-epoch merge into full", 1, []st{{a, 0}}, st{a, 0}, true},
+		{"cross-epoch, room for an entry", 2, []st{{a, 0}}, st{a, 1}, true},
+		{"cross-epoch into full", 1, []st{{a, 0}}, st{a, 1}, false},
+		{"non-spec after spec into full", 1, []st{{a, 0}}, st{a, NonSpecEpoch}, false},
+		{"spec after non-spec into full", 1, []st{{a, NonSpecEpoch}}, st{a, 0}, false},
+		{"other block into full", 1, []st{{b, NonSpecEpoch}}, st{a, NonSpecEpoch}, false},
+		{"younger same-block entry blocks the older, full", 2, []st{{a, NonSpecEpoch}, {a, 0}}, st{a, NonSpecEpoch}, false},
+		{"younger same-block entry blocks the older, room", 3, []st{{a, NonSpecEpoch}, {a, 0}}, st{a, NonSpecEpoch}, true},
+		{"merge into the youngest of two, full", 2, []st{{a, NonSpecEpoch}, {a, 0}}, st{a, 0}, true},
+	}
+	for _, c := range cases {
+		cb := NewCoalescing(c.cap)
+		for i, s := range c.setup {
+			if !cb.Store(s.block+memtypes.Addr(i*memtypes.WordBytes), 1, s.epoch) {
+				t.Fatalf("%s: setup store %d refused", c.name, i)
+			}
+		}
+		before := *cb
+		got := cb.CanStore(c.store.block, c.store.epoch)
+		if cb.Merges != before.Merges || cb.Allocs != before.Allocs || cb.FullStalls != before.FullStalls || cb.Len() != before.Len() {
+			t.Errorf("%s: CanStore mutated the buffer", c.name)
+		}
+		if got != c.want {
+			t.Errorf("%s: CanStore = %v, want %v", c.name, got, c.want)
+		}
+		if stored := cb.Store(c.store.block+memtypes.WordBytes, 2, c.store.epoch); stored != got {
+			t.Errorf("%s: CanStore = %v but Store = %v", c.name, got, stored)
+		}
+	}
+}
