@@ -1129,32 +1129,48 @@ func (c *Core) SnoopBlock(block memtypes.Addr) bool {
 // The method is read-only; in particular it never captures operands (the
 // issue path does that), so calling it cannot perturb the simulation.
 func (c *Core) NextEvent() uint64 {
+	t, _ := c.NextEventTerm()
+	return t
+}
+
+// NextEventTerm is NextEvent together with the name of the term that set
+// the hint: "fetch", "exec" or "issue" ("" at NoEvent). Diagnostics only.
+func (c *Core) NextEventTerm() (uint64, string) {
 	if c.halted {
-		return memtypes.NoEvent
+		return memtypes.NoEvent, ""
 	}
-	next := uint64(memtypes.NoEvent)
+	next, term := uint64(memtypes.NoEvent), ""
 	// Fetch: possible whenever there is ROB room and a valid fetch PC.
 	// (A wrong-path PC past the program end fetches nothing; SkipCycles
 	// replicates its per-cycle counter.)
 	if !c.fetchedHalt && c.count < c.cfg.ROBSize && c.fetchPC >= 0 && c.fetchPC < len(c.prog.Instrs) {
-		next = min(next, max(c.now+1, c.stallTil))
+		next, term = max(c.now+1, c.stallTil), "fetch"
 	}
 	// Execution completions promote entries to sDone. execMin bounds every
 	// live completion from below (possibly early when stale entries linger
 	// — a wasted tick, never a missed one).
-	if len(c.execQ) > 0 {
-		next = min(next, max(c.now+1, c.execMin))
+	if t := max(c.now+1, c.execMin); len(c.execQ) > 0 && t < next {
+		next, term = t, "exec"
 	}
 	// Dispatched entries become issueable when their operands arrive (only
 	// the first IssueWindow queue entries can be examined by the scan, so
 	// later ones cannot generate an event before the queue moves). A valid
 	// issue-horizon cache is exactly this term, already computed.
-	if c.issueQuiet {
-		next = min(next, max(c.now+1, c.issueWake))
-	} else {
-		next = min(next, c.dispHorizon())
+	t := max(c.now+1, c.issueWake)
+	if !c.issueQuiet {
+		t = c.dispHorizon()
 	}
-	return next
+	if t < next {
+		next, term = t, "issue"
+	}
+	return next, term
+}
+
+// IssueProgress reports the dispatched (not yet issued) and executing
+// queue lengths: the core's issue and completion progress, which the ROB
+// occupancy and retirement counters do not show. Diagnostics only.
+func (c *Core) IssueProgress() (dispatched, executing int) {
+	return c.dispQ.len(), len(c.execQ)
 }
 
 // HeadState is a read-only snapshot of the ROB head, exposed so the node

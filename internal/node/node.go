@@ -305,39 +305,65 @@ func (n *Node) deliver() {
 // TestIdleSkipBitExact), and no node changes state before its hint
 // (TestHintAudit).
 func (n *Node) NextEvent() uint64 {
+	t, _ := n.NextEventTerm()
+	return t
+}
+
+// NextEventTerm is NextEvent together with the name of the term that set
+// the hint: "inbox", "parked", "retired", "mshr", "cleaning", "sb", "head",
+// "dir", "engine", "mem", or the core's "fetch", "exec" or "issue" ("" at
+// NoEvent). On a tie the earlier term in that order wins. Diagnostics only.
+func (n *Node) NextEventTerm() (uint64, string) {
 	// Unconsumed deliveries, parked probes/fills, and unsent miss requests
 	// are all retried next cycle.
-	if n.net.InboxLen(n.id) > 0 || len(n.parked) > 0 {
-		return n.now + 1
+	if n.net.InboxLen(n.id) > 0 {
+		return n.now + 1, "inbox"
+	}
+	if len(n.parked) > 0 {
+		return n.now + 1, "parked"
 	}
 	// A cycle that retired instructions classifies as Busy; the next cycle
 	// may classify differently even if frozen, so never skip across it.
 	if n.core.RetiredThisCycle > 0 {
-		return n.now + 1
+		return n.now + 1, "retired"
 	}
-	next := uint64(memtypes.NoEvent)
+	next, term := uint64(memtypes.NoEvent), ""
 	for _, m := range n.mshrOrder {
 		switch {
 		case !m.sent && !m.fromL2:
-			return n.now + 1 // request issues next cycle
+			return n.now + 1, "mshr" // request issues next cycle
 		case m.fromL2:
 			// Includes completed-but-stuck local serves (no victim yet),
 			// which retry every cycle via max(now+1, ...).
-			next = min(next, max(n.now+1, m.readyAt))
+			if t := max(n.now+1, m.readyAt); t < next {
+				next, term = t, "mshr"
+			}
 		}
 	}
 	for _, done := range n.cleanings {
-		next = min(next, max(n.now+1, done))
+		if t := max(n.now+1, done); t < next {
+			next, term = t, "cleaning"
+		}
 	}
 	if t := n.sbNextEvent(); t < next {
-		next = t
+		next, term = t, "sb"
 	}
-	next = min(next, n.headRetireEvent())
-	next = min(next, n.dir.NextEvent(n.now))
-	next = min(next, n.engine.NextEvent(n.now))
-	next = min(next, n.mem.NextEvent(n.now))
-	next = min(next, n.core.NextEvent())
-	return next
+	if t := n.headRetireEvent(); t < next {
+		next, term = t, "head"
+	}
+	if t := n.dir.NextEvent(n.now); t < next {
+		next, term = t, "dir"
+	}
+	if t := n.engine.NextEvent(n.now); t < next {
+		next, term = t, "engine"
+	}
+	if t := n.mem.NextEvent(n.now); t < next {
+		next, term = t, "mem"
+	}
+	if t, ct := n.core.NextEventTerm(); t < next {
+		next, term = t, ct
+	}
+	return next, term
 }
 
 // headRetireEvent folds the retirement policy into the horizon. A ready

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"invisifence/internal/cache"
@@ -26,6 +27,7 @@ import (
 type fingerprint struct {
 	Retired, Mispredicts, Replays, Squashes          uint64
 	PC, ROB, RetiredThisCycle                        int
+	Dispatched, Executing                            int // issue and completion progress
 	HeadStall                                        cpu.StallReason
 	MSHRs, Parked, SB                                int
 	CleaningWBs, Prefetches, L2HitFills, RemoteFills uint64
@@ -43,9 +45,11 @@ type fingerprint struct {
 
 func fingerprintOf(n *node.Node, sent uint64) fingerprint {
 	c, st, l1, l2, dir, mem := n.Core(), n.Stats(), n.L1(), n.L2(), n.Directory(), n.Memory()
+	disp, exec := c.IssueProgress()
 	return fingerprint{
 		Retired: c.Retired, Mispredicts: c.Mispredicts, Replays: c.Replays, Squashes: c.Squashes,
 		PC: c.ArchPC(), ROB: c.ROBOccupancy(), RetiredThisCycle: c.RetiredThisCycle,
+		Dispatched: disp, Executing: exec,
 		HeadStall: c.HeadStall,
 		MSHRs:     n.MSHRCount(), Parked: n.ParkedCount(), SB: n.SBOccupancy(),
 		CleaningWBs: n.CleaningWBs, Prefetches: n.Prefetches, L2HitFills: n.L2HitFills, RemoteFills: n.RemoteFills,
@@ -75,11 +79,50 @@ func changedField(a, b fingerprint) string {
 // auditReport counts the audited run's hint-driven ticks. An early tick is
 // one the hint made due (no delivery waiting) that left the fingerprint
 // unchanged: a wasted tick of the event loop, as far as the fingerprint
-// can see. early groups them by the head plan (Node.HeadPlan) the hint
-// was computed with.
+// can see. ticks and early group them by the head plan (Node.HeadPlan) the
+// hint was computed with, termTicks and termEarly by the NextEvent term
+// that set it (Node.NextEventTerm).
 type auditReport struct {
 	deliveryTicks, hintTicks, earlyTicks uint64
-	ticks, early                         map[string]uint64 // hint-driven and early ticks by head plan
+	ticks, early                         map[string]uint64 // by head plan
+	termTicks, termEarly                 map[string]uint64 // by wake term
+}
+
+// add folds another run's counts into r.
+func (r *auditReport) add(o auditReport) {
+	r.deliveryTicks += o.deliveryTicks
+	r.hintTicks += o.hintTicks
+	r.earlyTicks += o.earlyTicks
+	for _, m := range [][2]map[string]uint64{{r.ticks, o.ticks}, {r.early, o.early}, {r.termTicks, o.termTicks}, {r.termEarly, o.termEarly}} {
+		for k, v := range m[1] {
+			m[0][k] += v
+		}
+	}
+}
+
+func newAuditReport() auditReport {
+	return auditReport{ticks: map[string]uint64{}, early: map[string]uint64{}, termTicks: map[string]uint64{}, termEarly: map[string]uint64{}}
+}
+
+// log writes the report's hint-driven and early ticks grouped by wake term
+// and by head plan.
+func (r auditReport) log(t testing.TB, label string) {
+	t.Helper()
+	t.Logf("%s: %d delivery ticks, %d hint-driven ticks (%d early)", label, r.deliveryTicks, r.hintTicks, r.earlyTicks)
+	for _, g := range []struct {
+		by           string
+		ticks, early map[string]uint64
+	}{{"wake term", r.termTicks, r.termEarly}, {"head plan", r.ticks, r.early}} {
+		keys := make([]string, 0, len(g.ticks))
+		for k := range g.ticks {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		t.Logf("  by %s at the hint:", g.by)
+		for _, k := range keys {
+			t.Logf("    %-22s %9d ticks %9d early", k, g.ticks[k], g.early[k])
+		}
+	}
 }
 
 // runAudited is runLockstep with a hint audit: a copy of the lock-step
@@ -103,11 +146,12 @@ func runAudited(t testing.TB, s *System) (Result, auditReport) {
 	prev := make([]fingerprint, nn)
 	head := make([]cpu.HeadState, nn) // the ROB head each hint was computed for
 	plan := make([]string, nn)        // and its plan
-	rep := auditReport{ticks: map[string]uint64{}, early: map[string]uint64{}}
+	term := make([]string, nn)        // the NextEvent term that set it
+	rep := newAuditReport()
 	for i, n := range s.nodes {
 		horizon[i] = 1 // before its first tick every node is one fetch away from work
 		prev[i] = fingerprintOf(n, 0)
-		plan[i] = "start"
+		plan[i], term[i] = "start", "start"
 	}
 	for {
 		s.now++
@@ -128,13 +172,16 @@ func runAudited(t testing.TB, s *System) (Result, auditReport) {
 			case due:
 				rep.hintTicks++
 				rep.ticks[plan[i]]++
+				rep.termTicks[term[i]]++
 				if fp == prev[i] {
 					rep.earlyTicks++
 					rep.early[plan[i]]++
+					rep.termEarly[term[i]]++
 				}
 			}
 			if due {
-				horizon[i], head[i], plan[i] = n.NextEvent(), n.Core().HeadState(), n.HeadPlan()
+				horizon[i], term[i] = n.NextEventTerm()
+				head[i], plan[i] = n.Core().HeadState(), n.HeadPlan()
 			}
 			prev[i] = fp
 		}
@@ -223,7 +270,7 @@ func TestHintAuditApache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := New(figure6Config(c.model, ifcore.DefaultSelective(c.model)), wl.Programs, wl.RegInit)
+			s := New(figure6Config(c.model, ifcore.DefaultSelective(c.model), 8), wl.Programs, wl.RegInit)
 			for a, v := range wl.MemInit {
 				s.WriteWord(a, v)
 			}
@@ -231,24 +278,79 @@ func TestHintAuditApache(t *testing.T) {
 			if !res.Finished || res.Cycles != c.cycles {
 				t.Fatalf("apache/%s: finished=%v after %d cycles, want %d", c.name, res.Finished, res.Cycles, c.cycles)
 			}
-			plans := make([]string, 0, len(rep.ticks))
-			for p := range rep.ticks {
-				plans = append(plans, p)
-			}
-			sort.Strings(plans)
-			t.Logf("apache/%s: %d node-cycles, %d delivery ticks, %d hint-driven ticks (%d early); by head plan at the hint:",
-				c.name, res.Cycles*16, rep.deliveryTicks, rep.hintTicks, rep.earlyTicks)
-			for _, p := range plans {
-				t.Logf("  %-22s %8d ticks %8d early", p, rep.ticks[p], rep.early[p])
-			}
+			rep.log(t, fmt.Sprintf("apache/%s, %d node-cycles", c.name, res.Cycles*16))
 		})
 	}
 }
 
+// TestHintAuditGrid audits the 28 cells of perfbench's sim-grid at its
+// default seed — the seven paper workloads under sc, invisi-sc, rc and
+// invisi-rc at scale 0.25, seed 1 — checks each audited Result against the
+// event loop's, and logs the grid's hint-driven and early ticks by wake
+// term and head plan (run with -v; EXPERIMENTS.md quotes the counts).
+func TestHintAuditGrid(t *testing.T) {
+	if testing.Short() {
+		t.Skip("28 scale-0.25 runs, each twice")
+	}
+	type variant struct {
+		name  string
+		model consistency.Model
+		eng   ifcore.Config
+		sb    int
+	}
+	conventional := func(name string, m consistency.Model) variant {
+		sb := 64 // the word FIFO; block-coalescing models get 8 entries
+		if consistency.RulesFor(m).SB == consistency.SBCoalescingBlock {
+			sb = 8
+		}
+		return variant{name, m, offEngine(m), sb}
+	}
+	variants := []variant{
+		conventional("sc", consistency.SC),
+		{"invisi-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC), 8},
+		conventional("rc", consistency.RC),
+		{"invisi-rc", consistency.RC, ifcore.DefaultSelective(consistency.RC), 8},
+	}
+	var mu sync.Mutex
+	total := newAuditReport()
+	t.Cleanup(func() { total.log(t, "sim-grid, seed 1") })
+	t.Run("cells", func(t *testing.T) {
+		for _, wname := range workload.Names() {
+			for _, v := range variants {
+				wname, v := wname, v
+				t.Run(wname+"/"+v.name, func(t *testing.T) {
+					t.Parallel()
+					wl, err := workload.Get(wname, workload.Params{Cores: 16, Model: v.model, Seed: 1, Scale: 0.25})
+					if err != nil {
+						t.Fatal(err)
+					}
+					build := func(lockstep bool) *System {
+						cfg := figure6Config(v.model, v.eng, v.sb)
+						cfg.DisableIdleSkip = lockstep
+						s := New(cfg, wl.Programs, wl.RegInit)
+						for a, w := range wl.MemInit {
+							s.WriteWord(a, w)
+						}
+						return s
+					}
+					events := build(false).Run()
+					audited, rep := runAudited(t, build(true))
+					if !audited.Finished || !reflect.DeepEqual(audited, events) {
+						t.Fatalf("audited lock-step diverged from the event loop:\naudited: %+v\nevents:  %+v", audited, events)
+					}
+					mu.Lock()
+					total.add(rep)
+					mu.Unlock()
+				})
+			}
+		}
+	})
+}
+
 // figure6Config is the Figure 6 machine as invisifence.DefaultMachine
-// configures it, for a selective variant (8-entry coalescing buffer), run
+// configures it, for a variant with an sbCapacity-entry store buffer, run
 // lock-step.
-func figure6Config(model consistency.Model, eng ifcore.Config) Config {
+func figure6Config(model consistency.Model, eng ifcore.Config, sbCapacity int) Config {
 	return Config{
 		Net: network.Config{Width: 4, Height: 4, HopLatency: 100, LocalLatency: 1, Seed: 1},
 		Node: node.Config{
@@ -259,7 +361,7 @@ func figure6Config(model consistency.Model, eng ifcore.Config) Config {
 			L2:                 cache.Config{SizeBytes: 1 << 20, Ways: 8, HitLatency: 25, Name: "L2"},
 			Memory:             memctrl.Config{AccessLatency: 160, Banks: 64, BankBusy: 8},
 			MSHRs:              32,
-			SBCapacity:         8,
+			SBCapacity:         sbCapacity,
 			StorePrefetchDepth: 8,
 			MsgsPerCycle:       8,
 			SnoopLQ:            true,
