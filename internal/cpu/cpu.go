@@ -168,15 +168,16 @@ type robEntry struct {
 	opVal  [3]memtypes.Word
 	opOK   [3]bool
 
-	// Issue-readiness memo (valid while wakeGen == Core.opGen): the entry
-	// cannot pass operandsReady before wakeAt, by the same time-based bound
-	// issueEvent computes. Turns the per-cycle issue scan's operand walk
-	// into two compares for entries waiting on known completion times.
-	// A NoEvent bound (producer not yet issued) is additionally versioned
-	// by wakeFlow: any issue anywhere can start such a producer and give
-	// the chain a finite completion time, so those memos expire whenever a
-	// scan issues something. Finite bounds cannot be accelerated by issues
-	// — completion times are fixed at issue — only by the disturb events.
+	// Issue-readiness memo (valid while wakeGen == Core.opGen): the issue
+	// classifier's verdict that the entry cannot issue before wakeAt.
+	// Turns the per-cycle issue scan's classification into two compares
+	// for entries waiting on known completion times. A NoEvent verdict (a
+	// producer not yet issued, or a load waiting on an older atomic) is
+	// additionally versioned by wakeFlow: an issue can start such a
+	// producer, or give a store between the atomic and the load its
+	// address, so those memos expire whenever anything issues. Finite
+	// verdicts cannot be accelerated by issues — completion times are
+	// fixed at issue — only by the disturb events.
 	wakeAt   uint64
 	wakeGen  uint64
 	wakeFlow uint64
@@ -410,6 +411,10 @@ func (c *Core) retire() {
 			return
 		}
 		e := &c.rob[c.head]
+		if c.headReadyAt(e) > c.now {
+			c.stallAt(StallOther)
+			return
+		}
 		in := e.in
 		switch {
 		case in.Op == isa.Halt:
@@ -423,42 +428,23 @@ func (c *Core) retire() {
 				return
 			}
 			c.RetiredFences++
-			c.commitEntry(e)
 		case in.Op.IsLoad():
-			if e.state != sDone || c.now < e.doneAt {
-				c.stallAt(StallOther)
-				return
-			}
 			ok, why := c.backend.RetireLoad(in.Op, e.addr, e.fromL1)
 			if !ok {
 				c.stallAt(why)
 				return
 			}
 			c.RetiredLoads++
-			c.commitEntry(e)
 		case in.Op.IsStore():
-			if e.state != sDone {
-				c.stallAt(StallOther)
-				return
-			}
 			ok, why := c.backend.RetireStore(in.Op, e.addr, e.dataVal)
 			if !ok {
 				c.stallAt(why)
 				return
 			}
 			c.RetiredStores++
-			c.commitEntry(e)
 		case in.Op.IsAtomic():
-			c.captureOps(e)
-			if !e.addrOK || !e.opOK[1] || (in.Op == isa.Cas && !e.opOK[2]) {
-				c.stallAt(StallOther)
-				return
-			}
-			var opB memtypes.Word
-			if in.Op == isa.Cas {
-				opB = e.opVal[2]
-			}
-			ok, old, why := c.backend.RetireAtomic(in.Op, e.addr, e.opVal[1], opB)
+			opA, opB := c.atomicData(e)
+			ok, old, why := c.backend.RetireAtomic(in.Op, e.addr, opA, opB)
 			if !ok {
 				c.stallAt(why)
 				return
@@ -466,15 +452,44 @@ func (c *Core) retire() {
 			e.value = old
 			e.state = sDone
 			c.RetiredAtomics++
-			c.commitEntry(e)
-		default:
-			if e.state != sDone || c.now < e.doneAt {
-				c.stallAt(StallOther)
-				return
-			}
-			c.commitEntry(e)
 		}
+		c.commitEntry(e)
 	}
+}
+
+// headReadyAt is the head-readiness rule: the first cycle retire() lets the
+// head entry e reach its retirement action (<= c.now: this cycle), or
+// memtypes.NoEvent when only an outside event can get it there (a fill, an
+// atomic producer's retirement, or — for an entry not issued yet — the
+// issue scan, whose horizon covers it). Halt and Fence need no execution;
+// an atomic needs its address and its data operands; everything else
+// needs its result (resultAt).
+func (c *Core) headReadyAt(e *robEntry) uint64 {
+	switch op := e.in.Op; {
+	case op == isa.Halt || op == isa.Fence:
+		return 0
+	case op.IsAtomic():
+		if !e.addrOK {
+			return memtypes.NoEvent
+		}
+		_, at := c.operandAt(e, 1)
+		if op == isa.Cas {
+			_, b := c.operandAt(e, 2)
+			at = max(at, b)
+		}
+		return at
+	}
+	return c.resultAt(e)
+}
+
+// atomicData resolves an atomic's data operands: the compare (or addend,
+// or swap) value and, for CAS, the swap-in value.
+func (c *Core) atomicData(e *robEntry) (opA, opB memtypes.Word) {
+	opA, _ = c.operandAt(e, 1)
+	if e.in.Op == isa.Cas {
+		opB, _ = c.operandAt(e, 2)
+	}
+	return opA, opB
 }
 
 func (c *Core) stallAt(why StallReason) {
@@ -529,10 +544,7 @@ func (c *Core) issue() {
 	c.issueQuiet = false
 	issued := 0
 	memIssued := 0
-	window := c.cfg.IssueWindow
-	if window <= 0 {
-		window = c.cfg.ROBSize
-	}
+	window := c.issueWindow()
 	examined := 0
 	// Iterate a snapshot: mid-scan squashes (replays, mispredicts) rebuild
 	// dispQ, but squashed slots cannot be reused until fetch runs, so stale
@@ -548,13 +560,12 @@ func (c *Core) issue() {
 			break
 		}
 		examined++
-		if e.wakeGen == c.opGen && c.now < e.wakeAt &&
-			(e.wakeAt != memtypes.NoEvent || e.wakeFlow == c.flowGen) {
+		if c.memoWake(e) && c.now < e.wakeAt {
 			continue // memoized: cannot become ready this cycle
 		}
-		ready, wake := c.examineEntry(e)
-		if !ready {
-			e.wakeAt = wake
+		p := c.examineEntry(e)
+		if p.at > c.now {
+			e.wakeAt = p.at
 			e.wakeGen = c.opGen
 			e.wakeFlow = c.flowGen
 			continue
@@ -566,92 +577,94 @@ func (c *Core) issue() {
 			e.state = sDone
 			e.doneAt = c.now
 			c.removeDisp(s)
+			continue
 		case in.Op.IsLoad():
 			if memIssued >= c.cfg.MemPorts {
 				continue
 			}
-			if c.issueLoad(s, e) {
-				memIssued++
-				issued++
-			}
+			memIssued++
+			c.issueLoad(s, e, p.fwd)
 			if e.state != sDispatched {
 				c.removeDisp(s)
 			}
 		case in.Op.IsStore():
-			e.addr = memtypes.WordAlign(memtypes.Addr(e.opVal[0]) + memtypes.Addr(in.Imm))
+			e.addr = effAddr(e.opVal[0], in)
 			e.addrOK = true
 			e.dataVal = e.opVal[1]
 			e.state = sDone
 			e.doneAt = c.now
-			issued++
 			c.removeDisp(s)
 			c.checkStoreConflicts(s, e)
 		case in.Op.IsAtomic():
 			// Address generation only; the RMW happens at retirement.
-			e.addr = memtypes.WordAlign(memtypes.Addr(e.opVal[0]) + memtypes.Addr(in.Imm))
+			e.addr = effAddr(e.opVal[0], in)
 			e.addrOK = true
 			e.state = sIssued
 			e.doneAt = c.now
-			issued++
 			c.removeDisp(s)
 			c.checkStoreConflicts(s, e)
 		case in.Op.IsBranch():
 			c.removeDisp(s)
-			mispredicted := c.executeBranch(s, e)
-			issued++
-			if mispredicted {
-				// Younger entries are gone; stop the scan.
-				return
+			if c.executeBranch(s, e) {
+				return // younger entries are gone (and every memo with them)
 			}
 		default:
 			e.value = evalALU(in, e.opVal[0], e.opVal[1])
 			e.state = sIssued
 			e.doneAt = c.now + in.Op.Latency(in.Imm)
 			c.queueExec(s)
-			issued++
 			c.removeDisp(s)
 		}
+		issued++
+		c.flowGen++ // may start a NoEvent wait's producer or address a store
 	}
 	if issued == 0 {
 		// Nothing started (so no port was consumed and no entry changed
 		// state except Halt/Fence leaving the queue): cache the earliest
 		// cycle the remaining window could become ready.
 		c.issueQuiet, c.issueWake = true, c.dispHorizon()
-	} else {
-		c.flowGen++ // a started producer may un-block NoEvent memos
 	}
 }
 
-// dispHorizon returns the earliest cycle any dispatched entry within the
-// issue window could pass operandsReady (NextEvent's dispatch-queue term).
-func (c *Core) dispHorizon() uint64 {
-	window := c.cfg.IssueWindow
-	if window <= 0 {
-		window = c.cfg.ROBSize
+func (c *Core) issueWindow() int {
+	if c.cfg.IssueWindow <= 0 {
+		return c.cfg.ROBSize
 	}
+	return c.cfg.IssueWindow
+}
+
+// memoWake reports whether e's issue-readiness memo is valid.
+func (c *Core) memoWake(e *robEntry) bool {
+	return e.wakeGen == c.opGen && (e.wakeAt != memtypes.NoEvent || e.wakeFlow == c.flowGen)
+}
+
+// dispHorizon returns the earliest cycle any dispatched entry within the
+// issue window could issue (NextEvent's issue term), by the issue
+// classifier or its memoized verdict.
+func (c *Core) dispHorizon() uint64 {
 	next := uint64(memtypes.NoEvent)
 	for i, s := range c.dispQ.slots() {
-		if i >= window {
+		if i >= c.issueWindow() {
 			break
 		}
 		e := &c.rob[s]
-		if e.wakeGen == c.opGen &&
-			(e.wakeAt != memtypes.NoEvent || e.wakeFlow == c.flowGen) {
-			// A memoized bound may be conservatively early (never late) —
-			// exactly the NextEvent contract — but it may also sit in the
-			// past when a width-limited scan broke before refreshing it;
-			// clamp to the future (NoEvent saturates).
-			next = min(next, max(c.now+1, e.wakeAt))
-			continue
+		at := e.wakeAt
+		if !c.memoWake(e) {
+			at = c.classifyIssue(e).at
 		}
-		next = min(next, c.issueEvent(e))
+		// A memoized verdict may be conservatively early (never late) —
+		// exactly the NextEvent contract — but it may also sit in the past
+		// when a width-limited scan broke before refreshing it, and a fresh
+		// one is in the past when the entry is ready now; clamp to the
+		// future (NoEvent saturates).
+		next = min(next, max(c.now+1, at))
 	}
 	return next
 }
 
 // disturbIssue invalidates the issue-horizon cache and every per-entry
-// readiness memo: an event outside the scan's time-based operand analysis
-// may have made an entry ready.
+// readiness memo: an event outside the issue classifier's time-based
+// analysis may have made an entry ready.
 func (c *Core) disturbIssue() {
 	c.issueQuiet = false
 	c.opGen++
@@ -668,147 +681,135 @@ func (c *Core) removeDisp(slot int) {
 	}
 }
 
-// captureOps lazily captures operands whose producers completed after this
-// entry's dispatch (used by the atomic retirement path).
-func (c *Core) captureOps(e *robEntry) {
-	for k := 0; k < 3; k++ {
-		if !e.opOK[k] {
-			c.captureOp(e, k)
-		}
+// resultAt is the first cycle entry e's result can feed a consumer (<=
+// c.now: it can now), or memtypes.NoEvent while it has no completion time:
+// not issued, waiting for a fill, or an atomic (whose value binds at
+// retirement). An executing entry is promoted to sDone at doneAt, before
+// issue runs that cycle, so its result is usable from the next cycle on.
+func (c *Core) resultAt(e *robEntry) uint64 {
+	switch {
+	case e.state == sDone:
+		return e.doneAt
+	case e.state == sIssued && !e.pendFill && !e.in.Op.IsAtomic():
+		return max(c.now+1, e.doneAt)
 	}
+	return memtypes.NoEvent
 }
 
-// captureOp tries to bind operand k. The producer may have retired (seq
-// mismatch after slot reuse, or slot freed): then the architectural file
-// holds its value — any in-flight intervening writer of the same register
-// would have been the rename source instead.
-func (c *Core) captureOp(e *robEntry, k int) bool {
+// operandAt is the operand rule, read-only: operand k of e's value and the
+// first cycle it can bind (<= c.now: it can now; memtypes.NoEvent: only a
+// fill or an atomic producer's retirement can bind it). The value comes
+// from the entry's bound slot, from the producer's ROB slot, or — when the
+// slot no longer holds the producer's seq, because it retired — from the
+// architectural file: any in-flight intervening writer of the same
+// register would have been the rename source instead.
+func (c *Core) operandAt(e *robEntry, k int) (memtypes.Word, uint64) {
 	p := e.srcRef[k]
-	if p < 0 {
-		e.opOK[k] = true
-		return true
+	if e.opOK[k] || p < 0 {
+		return e.opVal[k], 0
 	}
 	pe := &c.rob[p]
 	if !pe.used || pe.seq != e.srcSeq[k] {
-		e.opVal[k] = c.archRegs[e.srcReg[k]]
-		e.opOK[k] = true
-		e.srcRef[k] = -1
-		return true
+		return c.archRegs[e.srcReg[k]], 0
 	}
-	if pe.state == sDone && c.now >= pe.doneAt {
-		e.opVal[k] = pe.value
-		e.opOK[k] = true
-		e.srcRef[k] = -1
-		return true
-	}
-	return false
+	return pe.value, c.resultAt(pe)
 }
 
-// examineEntry captures any newly available operands and reports readiness
-// — and, when the entry is not ready, the earliest cycle it could become so
-// (issueEvent's bound), computed in the same walk instead of a second one.
-func (c *Core) examineEntry(e *robEntry) (bool, uint64) {
-	var ok [3]bool
-	var b [3]uint64
+// bindOps binds every operand of e that operandAt can resolve by now, so
+// later resolutions are a flag test.
+func (c *Core) bindOps(e *robEntry) {
 	for k := 0; k < 3; k++ {
-		ok[k], b[k] = c.captureOpBound(e, k)
-	}
-	// Loads and atomics only need rs1 (+rs2/rs3 for retirement, captured
-	// separately); address generation can proceed on rs1 alone.
-	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
-		if ok[0] {
-			return true, 0
-		}
-		return false, max(c.now+1, b[0]) // saturates at NoEvent
-	}
-	if ok[0] && ok[1] && ok[2] {
-		return true, 0
-	}
-	t := c.now + 1
-	for k := 0; k < 3; k++ {
-		if ok[k] {
+		if e.opOK[k] {
 			continue
 		}
-		if b[k] == memtypes.NoEvent {
-			return false, memtypes.NoEvent
+		if v, at := c.operandAt(e, k); at <= c.now {
+			e.opVal[k], e.opOK[k], e.srcRef[k] = v, true, -1
 		}
-		t = max(t, b[k])
 	}
-	return false, t
 }
 
-// captureOpBound is captureOp fused with operandReadyAt: it binds operand k
-// if possible, and otherwise reports when binding could next succeed.
-func (c *Core) captureOpBound(e *robEntry, k int) (bool, uint64) {
-	if e.opOK[k] {
-		return true, 0
-	}
-	p := e.srcRef[k]
-	if p < 0 {
-		e.opOK[k] = true
-		return true, 0
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		e.opVal[k] = c.archRegs[e.srcReg[k]]
-		e.opOK[k] = true
-		e.srcRef[k] = -1
-		return true, 0
-	}
-	switch {
-	case pe.state == sDone:
-		if c.now >= pe.doneAt {
-			e.opVal[k] = pe.value
-			e.opOK[k] = true
-			e.srcRef[k] = -1
-			return true, 0
-		}
-		return false, pe.doneAt
-	case pe.state == sIssued && !pe.pendFill && !pe.in.Op.IsAtomic():
-		// Will be promoted to sDone at doneAt, before issue runs that cycle.
-		return false, max(c.now+1, pe.doneAt)
-	}
-	return false, memtypes.NoEvent
+// issuePlan is the issue classifier's verdict on a dispatched entry.
+type issuePlan struct {
+	// at is the first cycle the entry can issue (<= c.now: this cycle), or
+	// memtypes.NoEvent when only an outside event can make it issueable.
+	at uint64
+	// fwd is, for a load that can issue, the ROB slot of the older store it
+	// forwards from, or -1 when it goes to the memory system.
+	fwd int
 }
 
-// issueLoad computes the address, searches older in-flight stores, and
-// falls back to the memory system. Returns true if a port was consumed.
-func (c *Core) issueLoad(slot int, e *robEntry) bool {
-	e.addr = memtypes.WordAlign(memtypes.Addr(e.opVal[0]) + memtypes.Addr(e.in.Imm))
-	e.addrOK = true
-	// Search older stores/atomics (store queue, youngest-first) for a
-	// same-word match.
+// classifyIssue is the issue rule, read-only. Loads and atomics need only
+// rs1 (address generation; an atomic's data operands are the head rule's
+// business), everything else every source operand. A load whose address
+// is known searches the store queue, youngest first, for the nearest older
+// store or atomic to the same word: a store forwards its staged data; an
+// atomic's result is unknown until it retires, so the load waits. That
+// wait is pure: only the atomic's commit or a squash (both disturbIssue),
+// or an issue that gives an intervening store its address (flowGen), can
+// end it. A load with no match goes to memory, optimistically past older
+// stores whose address is unknown (checkStoreConflicts replays it if that
+// was wrong).
+func (c *Core) classifyIssue(e *robEntry) issuePlan {
+	need := 3
+	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
+		need = 1
+	}
+	var at uint64
+	for k := 0; k < need; k++ {
+		_, t := c.operandAt(e, k)
+		at = max(at, t)
+	}
+	if at > c.now || !e.in.Op.IsLoad() {
+		return issuePlan{at: at, fwd: -1}
+	}
+	base, _ := c.operandAt(e, 0)
+	addr := effAddr(base, e.in)
 	sq := c.storeQ.slots()
 	for i := len(sq) - 1; i >= 0; i-- {
 		o := &c.rob[sq[i]]
-		if o.seq >= e.seq {
-			continue // younger than the load
-		}
-		if !o.addrOK || o.addr != e.addr {
-			continue
+		if o.seq >= e.seq || !o.addrOK || o.addr != addr {
+			continue // younger than the load, or not known to match
 		}
 		if o.in.Op.IsStore() {
-			// Forward staged data.
-			e.value = o.dataVal
-			e.valueOK = true
-			e.fwdSQ = true
-			e.fwdSeq = o.seq
-			e.fromL1 = false
-			e.state = sIssued
-			e.doneAt = c.now + 1
-			c.queueExec(slot)
-			return true
+			return issuePlan{at: at, fwd: sq[i]}
 		}
-		// The atomic's result is unknown until it retires: wait.
-		return false
+		return issuePlan{at: memtypes.NoEvent, fwd: -1}
 	}
-	// Optimistic past unknown-address stores; the store-side conflict check
-	// replays us if we were wrong.
+	return issuePlan{at: at, fwd: -1}
+}
+
+// examineEntry binds e's available operands and classifies it.
+func (c *Core) examineEntry(e *robEntry) issuePlan {
+	c.bindOps(e)
+	return c.classifyIssue(e)
+}
+
+// effAddr is a memory instruction's word-aligned effective address.
+func effAddr(base memtypes.Word, in isa.Instr) memtypes.Addr {
+	return memtypes.WordAlign(memtypes.Addr(base) + memtypes.Addr(in.Imm))
+}
+
+// issueLoad applies the issue classifier's verdict for a load: forward
+// from the older store in slot fwd, or, when fwd < 0, start the memory
+// access. Either consumes a memory port.
+func (c *Core) issueLoad(slot int, e *robEntry, fwd int) {
+	e.addr = effAddr(e.opVal[0], e.in)
+	e.addrOK = true
+	if fwd >= 0 {
+		e.value = c.rob[fwd].dataVal
+		e.valueOK = true
+		e.fwdSQ = true
+		e.fwdSeq = c.rob[fwd].seq
+		e.fromL1 = false
+		e.state = sIssued
+		e.doneAt = c.now + 1
+		c.queueExec(slot)
+		return
+	}
 	res := c.backend.StartLoad(e.seq, e.addr)
 	switch res.Status {
 	case LoadRetry:
-		e.addrOK = true
-		return true // port consumed, retry next cycle
+		// Port consumed; retry next cycle.
 	case LoadForwarded, LoadHit:
 		e.value = res.Value
 		e.valueOK = true
@@ -822,7 +823,6 @@ func (c *Core) issueLoad(slot int, e *robEntry) bool {
 		e.state = sIssued
 		e.doneAt = ^uint64(0) >> 1
 	}
-	return true
 }
 
 // checkStoreConflicts implements optimistic disambiguation: when a store or
@@ -944,27 +944,13 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 		e.srcRef[k] = -1
 		e.opOK[k] = true
 	}
+	// bind names operand k's source: the architectural file or the in-flight
+	// producer, which bindOps below resolves if it is done.
 	bind := func(k int, r isa.Reg) {
-		if r == isa.R0 {
-			e.opVal[k] = 0
-			e.opOK[k] = true
-			e.srcRef[k] = -1
-			return
-		}
 		if p := c.rename[r]; p >= 0 {
-			pe := &c.rob[p]
-			if pe.state == sDone && c.now >= pe.doneAt {
-				e.opVal[k] = pe.value
-				e.opOK[k] = true
-			} else {
-				e.srcRef[k] = p
-				e.srcSeq[k] = pe.seq
-				e.srcReg[k] = r
-				e.opOK[k] = false
-			}
+			e.srcRef[k], e.srcSeq[k], e.srcReg[k], e.opOK[k] = p, c.rob[p].seq, r, false
 		} else {
-			e.opVal[k] = c.archRegs[r]
-			e.opOK[k] = true
+			e.opVal[k] = c.archRegs[r] // R0 is never renamed and reads 0
 		}
 	}
 	switch {
@@ -980,9 +966,7 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 		bind(0, in.Rs1)
 		bind(1, in.Rs2)
 	}
-	if in.Op == isa.MovI {
-		e.opOK[0] = true
-	}
+	c.bindOps(e)
 	if in.Op.WritesRd() && in.Rd != isa.R0 {
 		c.rename[in.Rd] = slot
 	}
@@ -1126,8 +1110,11 @@ func (c *Core) SnoopBlock(block memtypes.Addr) bool {
 // late: if the core would change state at cycle T, the returned value must
 // be <= T. Early hints only cost a wasted tick.
 //
-// The method is read-only; in particular it never captures operands (the
-// issue path does that), so calling it cannot perturb the simulation.
+// The issue term is the issue classifier's verdict over the window (or the
+// scan's memoized horizon): the same rule the scan applies, so a load
+// waiting on an older same-word atomic contributes no event. The method is
+// read-only; in particular it never binds operands (the issue path does
+// that), so calling it cannot perturb the simulation.
 func (c *Core) NextEvent() uint64 {
 	t, _ := c.NextEventTerm()
 	return t
@@ -1175,7 +1162,8 @@ func (c *Core) IssueProgress() (dispatched, executing int) {
 
 // HeadState is a read-only snapshot of the ROB head, exposed so the node
 // can fold retirement-policy knowledge (which lives in the backend) into
-// its idle-skip horizon.
+// its idle-skip horizon. Its readiness is the head-readiness rule retire()
+// gates on, not a model of it.
 type HeadState struct {
 	Valid  bool // ROB non-empty and core running
 	Op     isa.Op
@@ -1187,134 +1175,29 @@ type HeadState struct {
 	Ready   bool
 	ReadyAt uint64
 	// OpA/OpB are a ready atomic's data operands (the compare value and, for
-	// CAS, the swap value), peeked read-only: the node needs the actual
-	// values — a CAS whose compare fails retires read-only — to classify a
-	// buffer-blocked speculative atomic as a skippable wait. OpsOK reports
-	// that both were resolvable without mutating capture state.
+	// CAS, the swap value), resolved read-only by the operand rule: the
+	// node needs the actual values — a CAS whose compare fails retires
+	// read-only — to classify a buffer-blocked speculative atomic as a
+	// skippable wait. OpsOK reports that both can bind already this cycle.
 	OpA, OpB memtypes.Word
 	OpsOK    bool
 }
 
-// HeadState returns the retirement snapshot of the ROB head.
+// HeadState returns the retirement snapshot of the ROB head, read off the
+// head-readiness rule retire() gates on.
 func (c *Core) HeadState() HeadState {
 	if c.halted || c.count == 0 {
 		return HeadState{}
 	}
 	e := &c.rob[c.head]
-	hs := HeadState{Valid: true, Op: e.in.Op, Addr: e.addr, AddrOK: e.addrOK}
-	switch {
-	case e.in.Op == isa.Halt || e.in.Op == isa.Fence:
-		hs.Ready = true
-		hs.ReadyAt = c.now + 1
-	case e.in.Op.IsAtomic():
-		hs.ReadyAt = c.retireAtomicEvent(e)
-		hs.Ready = hs.ReadyAt == c.now+1
-		if hs.Ready {
-			hs.OpA, hs.OpsOK = c.peekOp(e, 1)
-			if e.in.Op == isa.Cas {
-				var okB bool
-				hs.OpB, okB = c.peekOp(e, 2)
-				hs.OpsOK = hs.OpsOK && okB
-			}
-		}
-	default:
-		switch {
-		case e.pendFill:
-			hs.ReadyAt = memtypes.NoEvent
-		case e.state == sDone || e.state == sIssued:
-			hs.ReadyAt = max(c.now+1, e.doneAt)
-			hs.Ready = hs.ReadyAt == c.now+1
-		default:
-			// Not issued yet; the dispatch-queue scan owns this event.
-			hs.ReadyAt = memtypes.NoEvent
-		}
+	at := c.headReadyAt(e)
+	hs := HeadState{Valid: true, Op: e.in.Op, Addr: e.addr, AddrOK: e.addrOK, ReadyAt: max(c.now+1, at)}
+	hs.Ready = hs.ReadyAt == c.now+1
+	if hs.Ready && e.in.Op.IsAtomic() {
+		hs.OpA, hs.OpB = c.atomicData(e)
+		hs.OpsOK = at <= c.now
 	}
 	return hs
-}
-
-// peekOp resolves operand k's value without binding it (captureOp's
-// read-only mirror): the value comes from the entry's captured slot, the
-// retired producer's architectural register, or a completed producer's ROB
-// slot. ok is false while the producer is still executing.
-func (c *Core) peekOp(e *robEntry, k int) (memtypes.Word, bool) {
-	if e.opOK[k] {
-		return e.opVal[k], true
-	}
-	p := e.srcRef[k]
-	if p < 0 {
-		return e.opVal[k], true
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		return c.archRegs[e.srcReg[k]], true
-	}
-	if pe.state == sDone && c.now >= pe.doneAt {
-		return pe.value, true
-	}
-	return 0, false
-}
-
-// operandReadyAt returns the earliest cycle operand k of e could bind
-// (c.now+1 if it is ready now), or NoEvent if binding needs an external
-// event (a fill, or an atomic producer's retirement).
-func (c *Core) operandReadyAt(e *robEntry, k int) uint64 {
-	if e.opOK[k] {
-		return c.now + 1
-	}
-	p := e.srcRef[k]
-	if p < 0 {
-		return c.now + 1
-	}
-	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
-		return c.now + 1 // producer retired: architectural file has it
-	}
-	switch {
-	case pe.state == sDone:
-		return max(c.now+1, pe.doneAt)
-	case pe.state == sIssued && !pe.pendFill && !pe.in.Op.IsAtomic():
-		// Will be promoted to sDone at doneAt, before issue runs that cycle.
-		return max(c.now+1, pe.doneAt)
-	}
-	return memtypes.NoEvent
-}
-
-// issueEvent returns the earliest cycle the dispatched entry could pass
-// operandsReady, mirroring its per-class requirements read-only.
-func (c *Core) issueEvent(e *robEntry) uint64 {
-	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
-		return c.operandReadyAt(e, 0) // address generation needs rs1 only
-	}
-	t := c.now + 1
-	for k := 0; k < 3; k++ {
-		tk := c.operandReadyAt(e, k)
-		if tk == memtypes.NoEvent {
-			return memtypes.NoEvent
-		}
-		t = max(t, tk)
-	}
-	return t
-}
-
-// retireAtomicEvent returns the earliest cycle an atomic at the head could
-// pass its retirement readiness check (address generated, data operands
-// bound), after which the backend is probed every cycle.
-func (c *Core) retireAtomicEvent(e *robEntry) uint64 {
-	if !e.addrOK {
-		return memtypes.NoEvent // not issued yet; the dispQ scan covers it
-	}
-	t := c.operandReadyAt(e, 1)
-	if t == memtypes.NoEvent {
-		return memtypes.NoEvent
-	}
-	if e.in.Op == isa.Cas {
-		t2 := c.operandReadyAt(e, 2)
-		if t2 == memtypes.NoEvent {
-			return memtypes.NoEvent
-		}
-		t = max(t, t2)
-	}
-	return t
 }
 
 // SkipCycles replicates the per-cycle effects of k externally-idle cycles
