@@ -404,8 +404,8 @@ func (d *Directory) Tick(now uint64) {
 // transaction advances on its own: a memory access completing. This is also
 // the memory controller's contribution to the idle-skip horizon, because
 // access completion times are scheduled into transactions at request time
-// (see memctrl.Memory.NextEvent). Ack- and owner-driven transitions are
-// external (message) events and contribute nothing here.
+// (the controller has no horizon of its own). Ack- and owner-driven
+// transitions are external (message) events and contribute nothing here.
 func (d *Directory) NextEvent(now uint64) uint64 {
 	next := uint64(memtypes.NoEvent)
 	for _, e := range d.active {

@@ -332,50 +332,51 @@ func (e *Engine) SSBWouldBlock() bool {
 // first), continuous chunk management.
 func (e *Engine) Tick() {
 	// Opportunistic commit: constant-time, no arbitration (§4.1).
-	for len(e.order) > 0 {
-		o := e.order[0]
-		ep := &e.epochs[o]
-		if e.cfg.Mode == ModeContinuous && !ep.closed {
-			// Only closed chunks commit; the open chunk keeps executing.
-			break
-		}
-		if !e.host.SBEpochDrained(o) {
-			break
-		}
-		e.commitEpoch(o)
+	for e.oldestCommittable() {
+		e.commitEpoch(e.order[0])
 	}
 	if e.cfg.Mode == ModeContinuous {
 		e.manageChunks()
 	}
 }
 
+// oldestCommittable reports whether the oldest epoch commits now: every
+// store of it has drained and, in continuous mode, its chunk is closed
+// (the open chunk keeps executing).
+func (e *Engine) oldestCommittable() bool {
+	if len(e.order) == 0 {
+		return false
+	}
+	o := e.order[0]
+	return (e.cfg.Mode != ModeContinuous || e.epochs[o].closed) && e.host.SBEpochDrained(o)
+}
+
+// chunkReady reports whether manageChunks would act now: open a chunk
+// when none is live, or close the open one — once it has reached the
+// minimum size or a deferred probe asked for an early close — and
+// pipeline a new checkpoint behind it.
+func (e *Engine) chunkReady() bool {
+	if !e.Speculating() {
+		return e.CanBegin()
+	}
+	ep := &e.epochs[e.YoungestEpoch()]
+	return !ep.closed && (ep.retired >= e.cfg.MinChunk || e.earlyClose) &&
+		len(e.order) < e.cfg.MaxCheckpoints && !e.graceNeeded
+}
+
 // NextEvent returns the earliest future cycle at which the engine's
 // per-cycle policy work (Tick) would change state on its own: an
 // opportunistic commit whose drain condition already holds, or a continuous
-// chunk open/close whose trigger is already satisfied. Everything else the
+// chunk open/close whose trigger is already satisfied — the same two
+// predicates Tick acts on (oldestCommittable, chunkReady), not a copy of
+// them. Everything else the
 // engine does is driven by retirements, probes, and store-buffer drains —
 // events owned by other components. The hint follows the simulator-wide
 // monotonicity contract: read-only, never later than the true next state
 // change, valid until the engine's (or host's drain) state next changes.
 func (e *Engine) NextEvent(now uint64) uint64 {
-	if len(e.order) > 0 {
-		o := e.order[0]
-		if (e.cfg.Mode != ModeContinuous || e.epochs[o].closed) && e.host.SBEpochDrained(o) {
-			return now + 1
-		}
-	}
-	if e.cfg.Mode == ModeContinuous {
-		if !e.Speculating() {
-			if e.CanBegin() {
-				return now + 1
-			}
-		} else {
-			ep := &e.epochs[e.YoungestEpoch()]
-			if !ep.closed && (ep.retired >= e.cfg.MinChunk || e.earlyClose) &&
-				len(e.order) < e.cfg.MaxCheckpoints && !e.graceNeeded {
-				return now + 1
-			}
-		}
+	if e.oldestCommittable() || (e.cfg.Mode == ModeContinuous && e.chunkReady()) {
+		return now + 1
 	}
 	return memtypes.NoEvent
 }
@@ -399,21 +400,15 @@ func (e *Engine) commitEpoch(epoch int) {
 
 // manageChunks opens and closes continuous-mode chunks.
 func (e *Engine) manageChunks() {
-	if !e.Speculating() {
-		if e.CanBegin() {
-			e.Begin()
-		}
+	if !e.chunkReady() {
 		return
 	}
-	y := e.YoungestEpoch()
-	ep := &e.epochs[y]
-	ripe := ep.retired >= e.cfg.MinChunk || e.earlyClose
-	if !ep.closed && ripe && len(e.order) < e.cfg.MaxCheckpoints && !e.graceNeeded {
+	if y := e.YoungestEpoch(); y >= 0 {
 		// Close the chunk and pipeline a new checkpoint behind it.
-		ep.closed = true
+		e.epochs[y].closed = true
 		e.earlyClose = false
-		e.Begin()
 	}
+	e.Begin()
 }
 
 // RequestHalt closes any open chunk and stops new speculations so the node

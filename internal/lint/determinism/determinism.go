@@ -36,6 +36,12 @@ var deterministicPkgs = map[string]bool{
 	"fencesearch": true,
 	"sweep":       true,
 	"staticfence": true,
+	"node":        true,
+	"cpu":         true,
+	"core":        true,
+	"cache":       true,
+	"storebuffer": true,
+	"memctrl":     true,
 }
 
 // clockedPkgs names the packages that must take time from an injectable

@@ -63,16 +63,6 @@ func (m *Memory) AccessDone(now uint64, a memtypes.Addr) uint64 {
 	return start + m.cfg.AccessLatency
 }
 
-// NextEvent implements the idle-skip contract for the memory controller.
-// The controller is pull-scheduled: AccessDone assigns every access its
-// completion cycle at request time, and the requesting directory carries
-// that cycle in its transaction state (reported via Directory.NextEvent).
-// Bank free times influence only future AccessDone results, so the
-// controller itself never generates a spontaneous event.
-func (m *Memory) NextEvent(now uint64) uint64 {
-	return memtypes.NoEvent
-}
-
 // ReadBlock returns the current contents of the block containing a.
 func (m *Memory) ReadBlock(a memtypes.Addr) memtypes.BlockData {
 	m.Reads++

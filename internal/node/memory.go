@@ -77,6 +77,7 @@ func (n *Node) freeMSHR(m *mshrEntry) {
 		// the freshly arrived line before external probes may take it.
 		n.fillHold[m.block] = n.now + n.cfg.FillHoldCycles
 		if len(n.fillHold) > 1024 {
+			//lint:allow determinism deletes exactly the expired holds, in any order
 			for b, until := range n.fillHold {
 				if n.now >= until {
 					delete(n.fillHold, b)
@@ -369,17 +370,32 @@ func (n *Node) drainFIFO() {
 			n.requestBlock(block, true)
 		}
 	}
-	if n.cfg.StorePrefetchDepth > 0 && len(n.mshrs) < n.cfg.MSHRs-4 {
-		for _, block := range n.fifoSB.PrefetchBlocks(n.cfg.StorePrefetchDepth) {
-			if _, ok := n.mshrs[block]; ok {
-				continue
-			}
-			if line := n.l1.Peek(block); line != nil && line.State.Writable() {
-				continue
-			}
-			if n.requestBlock(block, true) {
-				n.Prefetches++
-			}
+	n.storePrefetches(func(block memtypes.Addr) bool {
+		if n.requestBlock(block, true) {
+			n.Prefetches++
+		}
+		return true
+	})
+}
+
+// storePrefetches is the FIFO's store-prefetch rule (§6.1): it calls
+// request for each upcoming buffered block that has no MSHR and no
+// writable L1 copy, in buffer order, until request returns false. The
+// MSHR-headroom check is made once, up front. drainFIFO issues the
+// requests; sbNextEvent only asks whether there is one.
+func (n *Node) storePrefetches(request func(block memtypes.Addr) bool) {
+	if n.cfg.StorePrefetchDepth <= 0 || len(n.mshrs) >= n.cfg.MSHRs-4 {
+		return
+	}
+	for _, block := range n.fifoSB.PrefetchBlocks(n.cfg.StorePrefetchDepth) {
+		if _, ok := n.mshrs[block]; ok {
+			continue
+		}
+		if line := n.l1.Peek(block); line != nil && line.State.Writable() {
+			continue
+		}
+		if !request(block) {
+			return
 		}
 	}
 }

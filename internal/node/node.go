@@ -297,7 +297,11 @@ func (n *Node) deliver() {
 // input. The contract is one-sided: the hint must never be later than the
 // node's true next state change, but may be earlier (costing only a tick).
 // The ROB head's term is not a separate model of retirement: it reads the
-// wait kind of the headPlan the next Retire* call will apply.
+// wait kind of the headPlan the next Retire* call will apply. The memory
+// controller has no term: it is pull-scheduled — AccessDone assigns each
+// access its completion cycle at request time, and the requesting
+// directory transaction carries that cycle (the directory's term) — and
+// bank free times only shape future AccessDone results.
 //
 // The method is read-only with respect to simulated state, so the answer
 // never perturbs a run: a simulation executed with idle-skip is bit-exact
@@ -311,7 +315,7 @@ func (n *Node) NextEvent() uint64 {
 
 // NextEventTerm is NextEvent together with the name of the term that set
 // the hint: "inbox", "parked", "retired", "mshr", "cleaning", "sb", "head",
-// "dir", "engine", "mem", or the core's "fetch", "exec" or "issue" ("" at
+// "dir", "engine", or the core's "fetch", "exec" or "issue" ("" at
 // NoEvent). On a tie the earlier term in that order wins. Diagnostics only.
 func (n *Node) NextEventTerm() (uint64, string) {
 	// Unconsumed deliveries, parked probes/fills, and unsent miss requests
@@ -340,8 +344,8 @@ func (n *Node) NextEventTerm() (uint64, string) {
 			}
 		}
 	}
-	for _, done := range n.cleanings {
-		if t := max(n.now+1, done); t < next {
+	for _, block := range n.cleanList {
+		if t := max(n.now+1, n.cleanings[block]); t < next {
 			next, term = t, "cleaning"
 		}
 	}
@@ -356,9 +360,6 @@ func (n *Node) NextEventTerm() (uint64, string) {
 	}
 	if t := n.engine.NextEvent(n.now); t < next {
 		next, term = t, "engine"
-	}
-	if t := n.mem.NextEvent(n.now); t < next {
-		next, term = t, "mem"
 	}
 	if t, ct := n.core.NextEventTerm(); t < next {
 		next, term = t, ct
@@ -429,16 +430,10 @@ func (n *Node) sbNextEvent() uint64 {
 				return n.now + 1 // ownership request (re)attempted next cycle
 			}
 		}
-		if n.cfg.StorePrefetchDepth > 0 && len(n.mshrs) < n.cfg.MSHRs-4 {
-			for _, block := range n.fifoSB.PrefetchBlocks(n.cfg.StorePrefetchDepth) {
-				if _, ok := n.mshrs[block]; ok {
-					continue
-				}
-				if line := n.l1.Peek(block); line != nil && line.State.Writable() {
-					continue
-				}
-				return n.now + 1 // a store prefetch would be attempted
-			}
+		prefetch := false
+		n.storePrefetches(func(memtypes.Addr) bool { prefetch = true; return false })
+		if prefetch {
+			return n.now + 1 // a store prefetch would be attempted
 		}
 		return memtypes.NoEvent
 	}
@@ -521,8 +516,8 @@ func (n *Node) DebugString() string {
 	for _, p := range n.parked {
 		out += fmt.Sprintf("  parked %v from=%d cov=%v deadline=%d\n", p.msg, p.src, p.isCoV, p.deadline)
 	}
-	for b, t := range n.cleanings {
-		out += fmt.Sprintf("  cleaning %#x until %d\n", uint64(b), t)
+	for _, b := range n.cleanList {
+		out += fmt.Sprintf("  cleaning %#x until %d\n", uint64(b), n.cleanings[b])
 	}
 	if n.coalSB != nil {
 		for _, e := range n.coalSB.Entries() {
