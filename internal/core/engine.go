@@ -367,11 +367,10 @@ func (e *Engine) chunkReady() bool {
 // NextEvent returns the earliest future cycle at which the engine's
 // per-cycle policy work (Tick) would change state on its own: an
 // opportunistic commit whose drain condition already holds, or a continuous
-// chunk open/close whose trigger is already satisfied — the same two
-// predicates Tick acts on (oldestCommittable, chunkReady), not a copy of
-// them. Everything else the
-// engine does is driven by retirements, probes, and store-buffer drains —
-// events owned by other components. The hint follows the simulator-wide
+// chunk open/close whose trigger is already satisfied — the two predicates
+// Tick acts on (oldestCommittable, chunkReady). Everything else the engine
+// does is driven by retirements, probes, and store-buffer drains — events
+// owned by other components. The hint follows the simulator-wide
 // monotonicity contract: read-only, never later than the true next state
 // change, valid until the engine's (or host's drain) state next changes.
 func (e *Engine) NextEvent(now uint64) uint64 {

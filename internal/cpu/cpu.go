@@ -626,6 +626,7 @@ func (c *Core) issue() {
 	}
 }
 
+// issueWindow is how many dispatched entries one issue scan may examine.
 func (c *Core) issueWindow() int {
 	if c.cfg.IssueWindow <= 0 {
 		return c.cfg.ROBSize
@@ -643,8 +644,9 @@ func (c *Core) memoWake(e *robEntry) bool {
 // classifier or its memoized verdict.
 func (c *Core) dispHorizon() uint64 {
 	next := uint64(memtypes.NoEvent)
+	window := c.issueWindow()
 	for i, s := range c.dispQ.slots() {
-		if i >= c.issueWindow() {
+		if i >= window {
 			break
 		}
 		e := &c.rob[s]
