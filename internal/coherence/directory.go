@@ -77,10 +77,11 @@ type entry struct {
 	freeNext *entry // intrusive free-list link (meaningful only when released)
 }
 
-// entryChunkSize is the arena growth quantum. Chunks are never freed; the
-// arena's high-water mark is the maximum number of simultaneously live
-// blocks, which block-address locality keeps far below the map-per-block
-// footprint the previous implementation grew without bound.
+// entryChunkSize is the arena's largest growth quantum (entryFor doubles
+// up to it from 2). Chunks are never freed; the arena's high-water mark is
+// the maximum number of simultaneously live blocks, which block-address
+// locality keeps far below the map-per-block footprint the previous
+// implementation grew without bound.
 const entryChunkSize = 64
 
 // dirTable is an open-addressed (linear-probe, backward-shift-delete) index
@@ -234,7 +235,9 @@ func (d *Directory) entryFor(a memtypes.Addr) *entry {
 	}
 	e := d.free
 	if e == nil {
-		chunk := make([]entry, entryChunkSize)
+		// The first chunks hold 2, 4, 8, … entries: a directory that only
+		// ever sees a few blocks (a litmus run) allocates a few entries.
+		chunk := make([]entry, min(entryChunkSize, 2<<min(len(d.chunks), 5)))
 		d.chunks = append(d.chunks, chunk)
 		for i := range chunk {
 			chunk[i].freeNext = d.free

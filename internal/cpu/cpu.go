@@ -18,6 +18,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
@@ -234,7 +235,7 @@ type Core struct {
 	pc       int
 	halted   bool
 
-	rob         []robEntry
+	rob         []robEntry // ring of robSlots(cfg, prog) slots
 	head        int
 	tail        int // next free slot index
 	count       int
@@ -299,14 +300,21 @@ func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word,
 	if cfg.ROBSize <= 0 {
 		panic("cpu: ROB size must be positive")
 	}
+	// Fetch predicts only pcs below len(prog.Instrs), so pc & predMask picks
+	// the same counter in a table of nextPow2(len) entries as in the full
+	// 1<<PredictorBits one.
+	preds := 1 << cfg.PredictorBits
+	if n := max(len(prog.Instrs), 1); n < preds {
+		preds = 1 << bits.Len(uint(n-1))
+	}
 	c := &Core{
 		cfg:      cfg,
 		id:       id,
 		prog:     prog,
 		backend:  backend,
-		rob:      make([]robEntry, cfg.ROBSize),
-		pred:     make([]uint8, 1<<cfg.PredictorBits),
-		predMask: uint32(1<<cfg.PredictorBits - 1),
+		rob:      make([]robEntry, robSlots(cfg, prog)),
+		pred:     make([]uint8, preds),
+		predMask: uint32(preds - 1),
 	}
 	c.archRegs = regs
 	c.archRegs[isa.R0] = 0
@@ -319,6 +327,26 @@ func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word,
 		c.pred[i] = 2
 	}
 	return c
+}
+
+// robSlots is the length of the ROB ring for prog. cfg.ROBSize stays the
+// logical capacity (fetch gating, slot ages), but a loop-free program —
+// every branch target above its pc; the ISA has no indirect jumps — never
+// dispatches into a slot above the pc it dispatches: sequential fetch,
+// mispredict redirects and replays all keep tail <= fetchPC, and FlushAll
+// restarts the ring at slot 0. Its slots therefore stay below
+// len(prog.Instrs), and the ring never wraps.
+func robSlots(cfg Config, prog *isa.Program) int {
+	n := len(prog.Instrs)
+	if n >= cfg.ROBSize {
+		return cfg.ROBSize
+	}
+	for pc, in := range prog.Instrs {
+		if in.Op.IsBranch() && in.Target <= pc {
+			return cfg.ROBSize
+		}
+	}
+	return n
 }
 
 // Halted reports whether the program has retired its Halt.
@@ -829,14 +857,16 @@ func (c *Core) issueLoad(slot int, e *robEntry, fwd int) {
 
 // checkStoreConflicts implements optimistic disambiguation: when a store or
 // atomic computes its address, the oldest younger load that executed with a
-// value not forwarded from it and that overlaps its word is replayed.
+// value not forwarded from it and that overlaps its word is replayed. A
+// load whose miss is still outstanding has executed too: its fill brings
+// the word as it was before this store.
 func (c *Core) checkStoreConflicts(slot int, st *robEntry) {
 	for _, s := range c.loadQ.slots() {
 		l := &c.rob[s]
 		if l.seq <= st.seq {
 			continue
 		}
-		if l.valueOK && l.addrOK && l.addr == st.addr && l.fwdSeq != st.seq {
+		if (l.valueOK || l.pendFill) && l.addrOK && l.addr == st.addr && l.fwdSeq != st.seq {
 			c.Replays++
 			c.squashFrom(s)
 			return
@@ -1012,12 +1042,14 @@ func (c *Core) squashSlots(slot int) {
 // FlushAll squashes the entire pipeline and redirects fetch to pc with
 // architectural registers replaced by regs: the InvisiFence abort path.
 // A Halt that retired speculatively is rolled back too: the core resumes.
+// pc may lie below every slot the ring has reached, so the ring restarts at
+// slot 0 (robSlots); no slot number survives the flush to observe that.
 func (c *Core) FlushAll(regs [isa.NumRegs]memtypes.Word, pc int) {
 	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%c.cfg.ROBSize {
 		c.rob[s].used = false
 	}
 	c.count = 0
-	c.tail = c.head
+	c.head, c.tail = 0, 0
 	c.archRegs = regs
 	c.archRegs[isa.R0] = 0
 	c.pc = pc

@@ -23,9 +23,12 @@ type fakeBackend struct {
 	retired int
 }
 
+// pendingFill is an outstanding miss and the word it will deliver: the
+// memory's value when the miss started, as a fill from the memory system
+// carries no store retired after the request.
 type pendingFill struct {
-	tag  uint64
-	addr memtypes.Addr
+	tag uint64
+	val memtypes.Word
 }
 
 func newFake(now *uint64) *fakeBackend {
@@ -39,7 +42,7 @@ func newFake(now *uint64) *fakeBackend {
 
 func (f *fakeBackend) StartLoad(tag uint64, addr memtypes.Addr) LoadResult {
 	if f.missAddrs[memtypes.BlockAddr(addr)] {
-		f.pending = append(f.pending, pendingFill{tag, addr})
+		f.pending = append(f.pending, pendingFill{tag, f.mem[addr]})
 		return LoadResult{Status: LoadMiss}
 	}
 	return LoadResult{Status: LoadHit, Value: f.mem[addr], ReadyAt: *f.now + f.hitLatency}
@@ -83,7 +86,7 @@ func run(t *testing.T, prog *isa.Program, setup func(*fakeBackend), maxCycles ui
 		if len(fb.pending) > 0 && now%17 == 0 {
 			p := fb.pending[0]
 			fb.pending = fb.pending[1:]
-			c.FillLoad(p.tag, fb.mem[p.addr])
+			c.FillLoad(p.tag, p.val)
 		}
 	}
 	if !c.Halted() {
@@ -305,6 +308,30 @@ func TestStoreConflictReplay(t *testing.T) {
 	}
 }
 
+func TestStoreConflictReplaysPendingMiss(t *testing.T) {
+	// The store's data waits on a miss, so its address is unknown when the
+	// younger load to the same word issues and misses too. When the store
+	// issues, the load's fill is still outstanding and will bring the
+	// pre-store word: the load must replay and see the store.
+	b := isa.NewBuilder("pending")
+	b.MovI(isa.R1, 0x800)
+	b.Ld(isa.R2, isa.R1, 0x40) // another block: the store's data
+	b.St(isa.R1, 0, isa.R2)
+	b.Ld(isa.R3, isa.R1, 0)
+	b.Halt()
+	c, _ := run(t, b.MustBuild(), func(f *fakeBackend) {
+		f.mem[0x840] = 9
+		f.missAddrs[memtypes.BlockAddr(0x800)] = true
+		f.missAddrs[memtypes.BlockAddr(0x840)] = true
+	}, 10_000)
+	if got := c.ArchReg(isa.R3); got != 9 {
+		t.Fatalf("r3 = %d, want 9 (the older store's data)", got)
+	}
+	if c.Replays == 0 {
+		t.Fatal("no replay counted")
+	}
+}
+
 func TestROBCapacityStall(t *testing.T) {
 	// A pending load miss at the head with a long tail of ALU work: the
 	// ROB must fill and fetch must stop, then drain after the fill.
@@ -320,5 +347,90 @@ func TestROBCapacityStall(t *testing.T) {
 	}, 100_000)
 	if got := c.ArchReg(isa.R3); got != 200 {
 		t.Fatalf("r3 = %d, want 200", got)
+	}
+}
+
+// straightLine is a loop-free program: every branch jumps forward.
+func straightLine() *isa.Program {
+	b := isa.NewBuilder("straight")
+	b.MovI(isa.R1, 0x700)
+	b.MovI(isa.R2, 5)
+	b.AddI(isa.R3, isa.R2, 7)
+	b.St(isa.R1, 0, isa.R3)
+	b.Ld(isa.R4, isa.R1, 0)
+	b.Mul(isa.R5, isa.R4, isa.R2)
+	b.MovI(isa.R6, 1)
+	b.And(isa.R6, isa.R5, isa.R6)
+	b.Bne(isa.R6, isa.R0, "skip")
+	b.AddI(isa.R5, isa.R5, 100)
+	b.Label("skip")
+	b.Sub(isa.R7, isa.R5, isa.R2)
+	b.Xor(isa.R8, isa.R7, isa.R3)
+	b.St(isa.R1, 8, isa.R8)
+	b.Halt()
+	return b.MustBuild()
+}
+
+func TestROBSizedToProgram(t *testing.T) {
+	var now uint64
+	cfg := DefaultConfig()
+	loopFree := straightLine()
+	c := New(0, cfg, loopFree, [isa.NumRegs]memtypes.Word{}, newFake(&now))
+	if n := len(loopFree.Instrs); len(c.rob) != n || len(c.pred) != 16 {
+		t.Fatalf("loop-free %d-instruction program: %d ROB slots, %d predictor entries; want %d and 16", n, len(c.rob), len(c.pred), n)
+	}
+	b := isa.NewBuilder("loop")
+	b.MovI(isa.R2, 3)
+	b.Label("l")
+	b.AddI(isa.R2, isa.R2, -1)
+	b.Bne(isa.R2, isa.R0, "l")
+	b.Halt()
+	c = New(0, cfg, b.MustBuild(), [isa.NumRegs]memtypes.Word{}, newFake(&now))
+	if len(c.rob) != cfg.ROBSize || len(c.pred) != 4 {
+		t.Fatalf("looping program: %d ROB slots, %d predictor entries; want %d and 4", len(c.rob), len(c.pred), cfg.ROBSize)
+	}
+}
+
+// TestFlushAllBelowHeadRestartsRing rolls a loop-free program back to a
+// checkpoint below the ROB head, as an InvisiFence abort does. Its ring
+// has one slot per instruction, so the refetch only fits if FlushAll
+// restarts the ring at slot 0; the re-executed program must end with the
+// reference interpreter's registers.
+func TestFlushAllBelowHeadRestartsRing(t *testing.T) {
+	prog := straightLine()
+	var now uint64
+	c := New(0, DefaultConfig(), prog, [isa.NumRegs]memtypes.Word{}, newFake(&now))
+	var ckptRegs [isa.NumRegs]memtypes.Word
+	ckptPC, flushed := -1, false
+	for now = 1; now < 10_000 && !c.Halted(); now++ {
+		c.Tick(now)
+		switch pc := c.ArchPC(); {
+		case ckptPC < 0 && pc >= 3:
+			for r := range ckptRegs {
+				ckptRegs[r] = c.ArchReg(isa.Reg(r))
+			}
+			ckptPC = pc
+		case !flushed && pc >= 10:
+			if c.head <= ckptPC {
+				t.Fatalf("head slot %d is not past the checkpoint pc %d", c.head, ckptPC)
+			}
+			c.FlushAll(ckptRegs, ckptPC)
+			flushed = true
+		}
+		if c.tail > len(c.rob) {
+			t.Fatalf("cycle %d: tail slot %d outside the %d-slot ring", now, c.tail, len(c.rob))
+		}
+	}
+	if !flushed || !c.Halted() {
+		t.Fatalf("flushed=%v halted=%v", flushed, c.Halted())
+	}
+	it := isa.NewInterp(prog, [isa.NumRegs]memtypes.Word{}, nil)
+	if err := it.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	for r := range it.Regs {
+		if got := c.ArchReg(isa.Reg(r)); got != it.Regs[r] {
+			t.Errorf("r%d = %d, want %d", r, got, it.Regs[r])
+		}
 	}
 }

@@ -222,10 +222,10 @@ var idleSkipCases = []struct {
 	{"aso", consistency.SC, ifcore.DefaultASO()},
 }
 
-// TestHintAudit runs the contended programs of TestIdleSkipBitExact under
-// the hint audit: no node may change state before its NextEvent hint
-// without a delivery, and the audited loop must reproduce the event loop's
-// Result.
+// TestHintAudit runs the contended programs of TestIdleSkipBitExact, and
+// headTermPrograms, under the hint audit: no node may change state before
+// its NextEvent hint without a delivery, and the audited loop must
+// reproduce the event loop's Result.
 func TestHintAudit(t *testing.T) {
 	for _, c := range idleSkipCases {
 		c := c
@@ -233,18 +233,43 @@ func TestHintAudit(t *testing.T) {
 			t.Parallel()
 			cfg := testConfig(2, 2, c.model, c.eng)
 			nnodes := cfg.Net.Width * cfg.Net.Height
-			progs := make([]*isa.Program, nnodes)
-			for i := range progs {
-				progs[i] = programFor(c.model, i, nnodes)
+			contended := make([]*isa.Program, nnodes)
+			for i := range contended {
+				contended[i] = programFor(c.model, i, nnodes)
 			}
-			events := New(cfg, progs, nil).Run()
-			cfg.DisableIdleSkip = true
-			audited, _ := runAudited(t, New(cfg, progs, nil))
-			if !audited.Finished || !reflect.DeepEqual(audited, events) {
-				t.Errorf("audited lock-step diverged from the event loop:\naudited: %+v\nevents:  %+v", audited, events)
+			for _, progs := range [][]*isa.Program{contended, headTermPrograms(nnodes)} {
+				// Audit first: a late hint can stall the event loop for good.
+				cfg.DisableIdleSkip = true
+				audited, _ := runAudited(t, New(cfg, progs, nil))
+				cfg.DisableIdleSkip = false
+				events := New(cfg, progs, nil).Run()
+				if !audited.Finished || !reflect.DeepEqual(audited, events) {
+					t.Errorf("%s: audited lock-step diverged from the event loop:\naudited: %+v\nevents:  %+v", progs[0].Name, audited, events)
+				}
 			}
 		})
 	}
+}
+
+// headTermPrograms isolate the ROB head's term of the hint. Node 0 fetches
+// an atomic to a missing block and its Halt into an empty ROB in one
+// cycle, so fetch stops; the next cycle the atomic issues (address
+// generation, after retirement ran), with nothing older to retire and
+// nothing younger to issue. Its first retirement attempt, which allocates
+// the miss, therefore happens a cycle later with only the head term due —
+// in the contended programs such an attempt always shares its cycle with a
+// fetch, a retirement or a completion, which mask a late head term. (A full
+// ROB cannot isolate it: an atomic that reaches the head behind older
+// instructions is tried in the cycle they retire.) The other nodes halt.
+func headTermPrograms(nnodes int) []*isa.Program {
+	b := isa.NewBuilder("head-term")
+	b.Fadd(isa.R2, isa.R0, 0x4000, isa.R3)
+	b.Halt()
+	progs := []*isa.Program{b.MustBuild()}
+	for len(progs) < nnodes {
+		progs = append(progs, haltProgram())
+	}
+	return progs
 }
 
 // TestHintAuditApache audits the two selective apache cells of cmd/bench's

@@ -15,16 +15,19 @@ import (
 // randomProgram emits a random but terminating program: a fixed-trip outer
 // loop over straight-line blocks of ALU ops, loads, stores, and atomics
 // against a private memory region, plus data-dependent inner branches.
-// Returned alongside is the expected architectural result, computed by the
-// reference interpreter.
-func randomProgram(rng *rand.Rand, tid int, region memtypes.Addr) (*isa.Program, [isa.NumRegs]memtypes.Word) {
+// With loopFree the block runs once, with no trip counter and no back-edge,
+// so every branch jumps forward and the core sizes its ROB to the program.
+// Returned alongside is the initial register state.
+func randomProgram(rng *rand.Rand, tid int, region memtypes.Addr, loopFree bool) (*isa.Program, [isa.NumRegs]memtypes.Word) {
 	b := isa.NewBuilder(fmt.Sprintf("fuzz-t%d", tid))
 	regionWords := int64(256)
 	scratch := []isa.Reg{isa.R4, isa.R5, isa.R6, isa.R7, isa.R8, isa.R9, isa.R12, isa.R13}
 
 	b.MovI(isa.R20, int64(region))
-	b.MovI(isa.R2, 0)                    // loop counter
-	b.MovI(isa.R3, int64(4+rng.Intn(6))) // trips
+	if !loopFree {
+		b.MovI(isa.R2, 0)                    // loop counter
+		b.MovI(isa.R3, int64(4+rng.Intn(6))) // trips
+	}
 	for i, r := range scratch {
 		b.MovI(r, int64(rng.Intn(1000)+i))
 	}
@@ -73,8 +76,10 @@ func randomProgram(rng *rand.Rand, tid int, region memtypes.Addr) (*isa.Program,
 	if rng.Intn(2) == 0 {
 		b.Fence()
 	}
-	b.AddI(isa.R2, isa.R2, 1)
-	b.Bltu(isa.R2, isa.R3, "loop")
+	if !loopFree {
+		b.AddI(isa.R2, isa.R2, 1)
+		b.Bltu(isa.R2, isa.R3, "loop")
+	}
 	b.Halt()
 
 	var regs [isa.NumRegs]memtypes.Word
@@ -105,24 +110,10 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		progs := make([]*isa.Program, cores)
 		regInits := make([][isa.NumRegs]memtypes.Word, cores)
-		regions := make([]memtypes.Addr, cores)
 		for i := 0; i < cores; i++ {
-			regions[i] = memtypes.Addr(0x100000 + i*0x10000)
-			progs[i], regInits[i] = randomProgram(rng, i, regions[i])
+			progs[i], regInits[i] = randomProgram(rng, i, memtypes.Addr(0x100000+i*0x10000), false)
 		}
-		// Reference execution.
-		type expect struct {
-			regs [isa.NumRegs]memtypes.Word
-			mem  map[memtypes.Addr]memtypes.Word
-		}
-		want := make([]expect, cores)
-		for i := 0; i < cores; i++ {
-			it := isa.NewInterp(progs[i], regInits[i], nil)
-			if err := it.Run(2_000_000); err != nil {
-				t.Fatalf("seed %d: reference: %v", seed, err)
-			}
-			want[i] = expect{regs: it.Regs, mem: it.Mem}
-		}
+		want := referenceRuns(t, progs, regInits)
 		for _, e := range engines {
 			cfg := testConfig(2, 2, e.model, e.eng)
 			s := New(cfg, progs, regInits)
@@ -130,20 +121,46 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 			if !res.Finished {
 				t.Fatalf("seed %d/%s: did not finish", seed, e.name)
 			}
-			for i := 0; i < cores; i++ {
-				for r := 0; r < isa.NumRegs; r++ {
-					got := s.Node(i).Core().ArchReg(isa.Reg(r))
-					if got != want[i].regs[r] {
-						t.Fatalf("seed %d/%s: core %d r%d = %d, want %d",
-							seed, e.name, i, r, got, want[i].regs[r])
-					}
-				}
-				for a, v := range want[i].mem {
-					if got := s.ReadWord(a); got != v {
-						t.Fatalf("seed %d/%s: core %d mem[%#x] = %d, want %d",
-							seed, e.name, i, uint64(a), got, v)
-					}
-				}
+			checkReference(t, fmt.Sprintf("seed %d/%s", seed, e.name), s, want)
+		}
+	}
+}
+
+// reference is one core's architectural result under the reference
+// interpreter.
+type reference struct {
+	regs [isa.NumRegs]memtypes.Word
+	mem  map[memtypes.Addr]memtypes.Word
+}
+
+// referenceRuns runs each program alone on the reference interpreter (the
+// random programs touch disjoint regions, so threads do not interact).
+func referenceRuns(t testing.TB, progs []*isa.Program, regInits [][isa.NumRegs]memtypes.Word) []reference {
+	t.Helper()
+	want := make([]reference, len(progs))
+	for i, p := range progs {
+		it := isa.NewInterp(p, regInits[i], nil)
+		if err := it.Run(2_000_000); err != nil {
+			t.Fatalf("core %d: reference: %v", i, err)
+		}
+		want[i] = reference{regs: it.Regs, mem: it.Mem}
+	}
+	return want
+}
+
+// checkReference fails the test unless every core of the finished system s
+// ended with its reference registers and memory.
+func checkReference(t testing.TB, label string, s *System, want []reference) {
+	t.Helper()
+	for i, w := range want {
+		for r := 0; r < isa.NumRegs; r++ {
+			if got := s.Node(i).Core().ArchReg(isa.Reg(r)); got != w.regs[r] {
+				t.Fatalf("%s: core %d r%d = %d, want %d", label, i, r, got, w.regs[r])
+			}
+		}
+		for a, v := range w.mem {
+			if got := s.ReadWord(a); got != v {
+				t.Fatalf("%s: core %d mem[%#x] = %d, want %d", label, i, uint64(a), got, v)
 			}
 		}
 	}
@@ -153,12 +170,15 @@ func TestRandomProgramsMatchReference(t *testing.T) {
 // programs: for each seed, random multi-threaded programs must produce
 // deeply-equal Results under the lock-step loop and the event loop at one,
 // two and three clusters, across a mix of speculative and conventional
-// implementations. Odd seeds also pin MaxCycles truncation (runs that hit
-// the bound must truncate at the same cycle with identical partial stats),
-// and a jittered network must match lock-step at one cluster, where jitter
-// is drawn in the lock-step send order. Every lock-step run is hint-audited
-// (runAudited): no node may change state before its NextEvent hint. The
-// seed corpus holds the seeds of the fixed list this check grew from.
+// implementations, and every run that finishes must end with the reference
+// interpreter's registers and memory. A third of the seeds draw loop-free
+// programs, whose cores get program-length ROBs. Odd seeds also pin
+// MaxCycles truncation (runs that hit the bound must truncate at the same
+// cycle with identical partial stats), and a jittered network must match
+// lock-step at one cluster, where jitter is drawn in the lock-step send
+// order. Every lock-step run is hint-audited (runAudited): no node may
+// change state before its NextEvent hint. The seed corpus holds the seeds
+// of the fixed list this check grew from.
 func FuzzRunnerEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 99991} {
 		f.Add(seed)
@@ -178,34 +198,40 @@ func FuzzRunnerEquivalence(f *testing.F) {
 		progs := make([]*isa.Program, cores)
 		regInits := make([][isa.NumRegs]memtypes.Word, cores)
 		for i := 0; i < cores; i++ {
-			progs[i], regInits[i] = randomProgram(rng, i, memtypes.Addr(0x100000+i*0x10000))
+			progs[i], regInits[i] = randomProgram(rng, i, memtypes.Addr(0x100000+i*0x10000), seed%3 == 0)
 		}
+		want := referenceRuns(t, progs, regInits)
 		for _, e := range engines {
-			run := func(mutate func(*Config)) Result {
+			run := func(label string, mutate func(*Config)) Result {
 				cfg := testConfig(2, 2, e.model, e.eng)
 				if seed%2 != 0 {
 					cfg.MaxCycles = 30_000
 				}
 				mutate(&cfg)
 				s := New(cfg, progs, regInits)
+				var res Result
 				if cfg.DisableIdleSkip {
-					res, _ := runAudited(t, s) // the lock-step oracle, hint-audited
-					return res
+					res, _ = runAudited(t, s) // the lock-step oracle, hint-audited
+				} else {
+					res = s.Run()
 				}
-				return s.Run()
+				if res.Finished {
+					checkReference(t, fmt.Sprintf("seed %d/%s/%s", seed, e.name, label), s, want)
+				}
+				return res
 			}
-			lockstep := run(func(c *Config) { c.DisableIdleSkip = true })
+			lockstep := run("lock-step", func(c *Config) { c.DisableIdleSkip = true })
 			for _, k := range []int{1, 2, 3} {
-				if got := run(func(c *Config) { c.Clusters = k }); !reflect.DeepEqual(lockstep, got) {
+				if got := run(fmt.Sprintf("%d clusters", k), func(c *Config) { c.Clusters = k }); !reflect.DeepEqual(lockstep, got) {
 					t.Errorf("seed %d/%s: event loop (%d clusters) diverged from lock-step:\nlock-step: %+v\nevents:    %+v",
 						seed, e.name, k, lockstep, got)
 				}
 			}
 			jitter := func(c *Config) { c.Net.Jitter = 4; c.Net.Seed = seed }
-			want := run(func(c *Config) { jitter(c); c.DisableIdleSkip = true })
-			if got := run(jitter); !reflect.DeepEqual(want, got) {
+			jitteredLockstep := run("jittered lock-step", func(c *Config) { jitter(c); c.DisableIdleSkip = true })
+			if got := run("jittered", jitter); !reflect.DeepEqual(jitteredLockstep, got) {
 				t.Errorf("seed %d/%s: jittered event loop diverged from lock-step:\nlock-step: %+v\nevents:    %+v",
-					seed, e.name, want, got)
+					seed, e.name, jitteredLockstep, got)
 			}
 		}
 	})
