@@ -67,22 +67,20 @@ type benchRun struct {
 // reference pins one cell's scheduler trajectory: the same simulation under
 // the naive lock-step loop, the one-cluster event loop (SerialNs), and the
 // event loop at the configured cluster count, in this binary (isolating
-// scheduler effects from everything else) — and, when -prerefactor-ns
-// supplies a measurement of the seed core on the same host, against the
-// pre-refactor implementation as a whole. OptimizedNs is the configured
-// scheduler (the one-cluster event loop under -clusters 0).
+// scheduler effects from everything else). OptimizedNs is the configured
+// scheduler (the one-cluster event loop under -clusters 0). BENCH_1.json
+// also carries prerefactor_ns/prerefactor_speedup, a measurement of the
+// seed core that no longer exists; readers ignore them.
 type reference struct {
-	Workload           string  `json:"workload"`
-	Variant            string  `json:"variant"`
-	Scale              float64 `json:"scale"`
-	Clusters           int     `json:"clusters"`
-	OptimizedNs        int64   `json:"optimized_ns"`
-	SerialNs           int64   `json:"serial_ns"`
-	LockstepNs         int64   `json:"lockstep_ns"`
-	SerialSpeedup      float64 `json:"serial_speedup"`   // serial / optimized
-	LockstepSpeedup    float64 `json:"lockstep_speedup"` // lock-step / optimized
-	PreRefactorNs      int64   `json:"prerefactor_ns,omitempty"`
-	PreRefactorSpeedup float64 `json:"prerefactor_speedup,omitempty"`
+	Workload        string  `json:"workload"`
+	Variant         string  `json:"variant"`
+	Scale           float64 `json:"scale"`
+	Clusters        int     `json:"clusters"`
+	OptimizedNs     int64   `json:"optimized_ns"`
+	SerialNs        int64   `json:"serial_ns"`
+	LockstepNs      int64   `json:"lockstep_ns"`
+	SerialSpeedup   float64 `json:"serial_speedup"`   // serial / optimized
+	LockstepSpeedup float64 `json:"lockstep_speedup"` // lock-step / optimized
 }
 
 // benchFile is the BENCH_<n>.json schema. v2 adds per-cell scheduler
@@ -170,7 +168,6 @@ func main() {
 	workloads := flag.String("workloads", "", "comma-separated workloads (default: all seven)")
 	variants := flag.String("variants", "sc,invisi-sc", "comma-separated variant names")
 	noRef := flag.Bool("no-reference", false, "skip the apache scheduler-trajectory measurements")
-	preNs := flag.Int64("prerefactor-ns", 0, "measured ns/run of the pre-refactor (seed) core for apache/SC at the same scale on this host; recorded for the trajectory")
 	clusters := flag.Int("clusters", -1, "event-loop node clusters for grid cells (-1 = derive from GOMAXPROCS, 0 or 1 = one cluster run inline)")
 	linkbw := flag.Uint64("linkbw", 4, "link bandwidth in cycles/flit for the contention smoke cells (0 skips them; only run on the unfiltered reference grid)")
 	flag.Parse()
@@ -326,17 +323,9 @@ func main() {
 				SerialSpeedup:   float64(serial.NsPerRun) / float64(opt.NsPerRun),
 				LockstepSpeedup: float64(lock.NsPerRun) / float64(opt.NsPerRun),
 			}
-			if *preNs > 0 && v.Name == "sc" {
-				ref.PreRefactorNs = *preNs
-				ref.PreRefactorSpeedup = float64(*preNs) / float64(opt.NsPerRun)
-			}
 			file.Reference = append(file.Reference, ref)
-			fmt.Fprintf(os.Stderr, "reference apache/%s: parallel(%d) %d ns, serial %d ns (%.2fx), lock-step %d ns (%.2fx)",
+			fmt.Fprintf(os.Stderr, "reference apache/%s: parallel(%d) %d ns, serial %d ns (%.2fx), lock-step %d ns (%.2fx)\n",
 				v.Name, *clusters, opt.NsPerRun, serial.NsPerRun, ref.SerialSpeedup, lock.NsPerRun, ref.LockstepSpeedup)
-			if ref.PreRefactorNs > 0 {
-				fmt.Fprintf(os.Stderr, ", pre-refactor %d ns (%.2fx)", ref.PreRefactorNs, ref.PreRefactorSpeedup)
-			}
-			fmt.Fprintln(os.Stderr)
 		}
 	}
 

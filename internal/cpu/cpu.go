@@ -39,17 +39,12 @@ const (
 	StallOther
 )
 
+var stallNames = [...]string{"none", "sb-full", "sb-drain", "other"}
+
 // String implements fmt.Stringer.
 func (r StallReason) String() string {
-	switch r {
-	case StallNone:
-		return "none"
-	case StallSBFull:
-		return "sb-full"
-	case StallSBDrain:
-		return "sb-drain"
-	case StallOther:
-		return "other"
+	if int(r) < len(stallNames) {
+		return stallNames[r]
 	}
 	return fmt.Sprintf("StallReason(%d)", uint8(r))
 }
@@ -110,9 +105,9 @@ type Config struct {
 	MemPorts        int
 	RedirectPenalty uint64
 	PredictorBits   int // log2 of bimodal predictor entries
-	// IssueWindow caps how many waiting instructions the scheduler
-	// examines per cycle (the issue queue is smaller than the ROB in real
-	// machines; this also bounds simulation cost).
+	// IssueWindow sizes the issue queue: only the IssueWindow oldest
+	// waiting instructions, ready or not, are candidates to issue (the
+	// issue queue is smaller than the ROB in real machines).
 	IssueWindow int
 }
 
@@ -138,89 +133,47 @@ const (
 	sDone             // value bound (for atomics: only after retirement action)
 )
 
+// robEntry's fields are ordered for locality: the first 64 bytes hold what
+// promote, the issue walk and a consumer's operand lookup read of every
+// entry they touch.
 type robEntry struct {
-	used bool
-	seq  uint64
-	pc   int
-	in   isa.Instr
-
-	predNext int // fetch-time predicted successor pc
-
-	state   uint8
+	seq     uint64
 	doneAt  uint64
-	value   memtypes.Word
-	addr    memtypes.Addr
+	in      isa.Instr
+	waiters int32 // issue wake-up: head of the consumer list (see wnext)
+	used    bool
+	state   uint8
 	addrOK  bool
-	dataVal memtypes.Word // staged store data
 
 	// Load bookkeeping.
-	valueOK  bool   // value bound (may still be before doneAt)
-	fwdSQ    bool   // value forwarded from an in-flight (in-window) store
-	fwdSeq   uint64 // seq of the forwarding store
-	fromL1   bool   // value came from the memory system (SB/L1/fill)
-	pendFill bool   // waiting for FillLoad
+	pendFill bool // waiting for FillLoad
+	valueOK  bool // value bound (may still be before doneAt)
+	fwdSQ    bool // value forwarded from an in-flight (in-window) store
+	fromL1   bool // value came from the memory system (SB/L1/fill)
+
+	opOK  [3]bool
+	value memtypes.Word
 
 	// Operand capture. srcSeq validates srcRef against slot reuse: if the
 	// slot no longer holds that seq, the producer retired and its value is
 	// in the architectural file under srcReg.
 	srcRef [3]int // producer ROB slot or -1
 	srcSeq [3]uint64
-	srcReg [3]isa.Reg
+	addr   memtypes.Addr
+	wakeAt uint64 // issue wake-up: the cycle a pending verdict comes due
 	opVal  [3]memtypes.Word
-	opOK   [3]bool
 
-	// Issue-readiness memo (valid while wakeGen == Core.opGen): the issue
-	// classifier's verdict that the entry cannot issue before wakeAt.
-	// Turns the per-cycle issue scan's classification into two compares
-	// for entries waiting on known completion times. A NoEvent verdict (a
-	// producer not yet issued, or a load waiting on an older atomic) is
-	// additionally versioned by wakeFlow: an issue can start such a
-	// producer, or give a store between the atomic and the load its
-	// address, so those memos expire whenever anything issues. Finite
-	// verdicts cannot be accelerated by issues — completion times are
-	// fixed at issue — only by the disturb events.
-	wakeAt   uint64
-	wakeGen  uint64
-	wakeFlow uint64
-}
+	dataVal  memtypes.Word // staged store data
+	fwdSeq   uint64        // load: seq of the forwarding store
+	pc       int
+	predNext int // fetch-time predicted successor pc
 
-// slotQueue is a FIFO of ROB slot indices with O(1) head removal: a head
-// offset instead of re-slicing, with amortized compaction, so the retire-
-// side pops neither walk the queue off its backing array (which forced a
-// reallocation every few dozen pushes) nor shift the whole queue per pop.
-type slotQueue struct {
-	buf  []int
-	head int
-}
-
-// slots returns the live entries in order (do not retain across mutation).
-func (q *slotQueue) slots() []int { return q.buf[q.head:] }
-
-func (q *slotQueue) len() int { return len(q.buf) - q.head }
-
-func (q *slotQueue) push(s int) { q.buf = append(q.buf, s) }
-
-func (q *slotQueue) reset() { q.buf = q.buf[:0]; q.head = 0 }
-
-// remove deletes the entry at index i of slots().
-func (q *slotQueue) remove(i int) {
-	live := q.buf[q.head:]
-	copy(live[i:], live[i+1:])
-	q.buf = q.buf[:len(q.buf)-1]
-}
-
-// popHead drops the first live entry, compacting once the dead prefix
-// dominates (amortized O(1), bounded memory).
-func (q *slotQueue) popHead() {
-	q.head++
-	switch {
-	case q.head == len(q.buf):
-		q.reset()
-	case q.head >= 32 && q.head*2 >= len(q.buf):
-		n := copy(q.buf, q.buf[q.head:])
-		q.buf = q.buf[:n]
-		q.head = 0
-	}
+	// Issue wake-up (Core.file): waiters heads the list of consumer
+	// operands waiting for this entry's result time to become known. A link
+	// is slot<<2|k, chained through the consumer's wnext[k]; -1 ends it.
+	// Dispatch pushes at the head, so a list runs youngest consumer first.
+	wnext  [3]int32
+	srcReg [3]isa.Reg
 }
 
 // Core is one simulated processor core.
@@ -251,39 +204,28 @@ type Core struct {
 	storeQ slotQueue
 	execQ  []int
 
-	// dispQ holds exactly the not-yet-issued (sDispatched) slots in program
-	// order, so the issue scan touches only candidate entries instead of
-	// walking the whole ROB every cycle. Entries are appended at dispatch,
-	// removed the moment they leave sDispatched (issue, head retirement of
-	// Halt/Fence, squash rebuild).
-	dispQ slotQueue
-	// issueScratch is the reusable per-cycle snapshot the issue scan
-	// iterates, so mid-scan squashes (which rebuild dispQ) cannot invalidate
-	// the iteration.
-	issueScratch []int
+	// Issue wake-up: an entry's issue verdict (classifyIssue) is computed
+	// when something that can change it happens, not every cycle (file).
+	// disp holds exactly the not-yet-issued (sDispatched) slots, nDisp of
+	// them; each is in at most one of ready (its verdict is <= now) and pend
+	// (a finite future verdict, due at its wakeAt). One in neither waits for
+	// an event: its producer's result time (waiters), or an older same-word
+	// atomic's commit or a store's address (wakeLoads).
+	disp, ready, pend slotSet
+	nDisp             int
+	// pendMin is a conservative lower bound on every pend entry's wakeAt
+	// (never late: file lowers it, wakeDue recomputes it, squashes only
+	// remove entries), as execMin is for execQ.
+	pendMin uint64
 
 	pred     []uint8 // bimodal 2-bit counters
 	predMask uint32
 
 	// execMin is a conservative lower bound on the earliest doneAt of any
-	// execQ entry (never late: queueExec lowers it, a promote pass
-	// recomputes it from survivors, squashes only remove entries). Most
-	// cycles promote is a single compare against it.
+	// execQ entry (never late: queueExec lowers it, a promote pass or a
+	// squash recomputes it from the survivors). Most cycles promote is a
+	// single compare against it.
 	execMin uint64
-
-	// Issue-horizon cache. A full issue scan that starts nothing proves —
-	// by the same read-only operand analysis Core.NextEvent exposes to the
-	// idle-skip scheduler — that no dispatched entry can become issueable
-	// before issueWake without an outside event (a fill, a squash, a new
-	// dispatch, an atomic retiring a value). Until then the per-cycle scan
-	// (snapshot copy + operand walk over up to IssueWindow entries) is
-	// skipped entirely; every outside event clears the flag (disturbIssue).
-	// Purely a memoization: issue order and results are bit-identical.
-	// opGen versions the per-entry wakeAt memos; disturbIssue bumps it.
-	issueQuiet bool
-	issueWake  uint64
-	opGen      uint64
-	flowGen    uint64 // counts scans that issued; versions NoEvent memos
 
 	// Per-cycle outputs for the node's accounting.
 	RetiredThisCycle int
@@ -307,18 +249,25 @@ func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word,
 	if n := max(len(prog.Instrs), 1); n < preds {
 		preds = 1 << bits.Len(uint(n-1))
 	}
+	n := robSlots(cfg, prog)
+	words := (n + 63) >> 6
+	sets := make(slotSet, 3*words)
 	c := &Core{
 		cfg:      cfg,
 		id:       id,
 		prog:     prog,
 		backend:  backend,
-		rob:      make([]robEntry, robSlots(cfg, prog)),
+		rob:      make([]robEntry, n),
+		disp:     sets[:words:words],
+		ready:    sets[words : 2*words : 2*words],
+		pend:     sets[2*words:],
 		pred:     make([]uint8, preds),
 		predMask: uint32(preds - 1),
 	}
 	c.archRegs = regs
 	c.archRegs[isa.R0] = 0
 	c.execMin = memtypes.NoEvent
+	c.pendMin = memtypes.NoEvent
 	for i := range c.rename {
 		c.rename[i] = -1
 	}
@@ -361,16 +310,13 @@ func (c *Core) ArchPC() int { return c.pc }
 // ROBOccupancy returns the number of in-flight instructions.
 func (c *Core) ROBOccupancy() int { return c.count }
 
+// slotAge is slot's distance from head in ring order.
 func (c *Core) slotAge(slot int) int {
-	// Age = distance from head in ring order.
-	d := slot - c.head
-	if d < 0 {
-		d += c.cfg.ROBSize
+	if d := slot - c.head; d >= 0 {
+		return d
 	}
-	return d
+	return slot - c.head + c.cfg.ROBSize
 }
-
-func (c *Core) older(a, b int) bool { return c.slotAge(a) < c.slotAge(b) }
 
 // SyncNow re-aligns the core's internal clock before the node processes
 // incoming messages. Message-driven paths (FillLoad completions, SnoopBlock
@@ -423,9 +369,7 @@ func (c *Core) promote() {
 // queueExec registers an issued entry for later completion.
 func (c *Core) queueExec(slot int) {
 	c.execQ = append(c.execQ, slot)
-	if d := c.rob[slot].doneAt; d < c.execMin {
-		c.execMin = d
-	}
+	c.execMin = min(c.execMin, c.rob[slot].doneAt)
 }
 
 // ---------------------------------------------------------------- retire
@@ -444,42 +388,35 @@ func (c *Core) retire() {
 			return
 		}
 		in := e.in
+		ok, why, counter := true, StallNone, (*uint64)(nil)
 		switch {
 		case in.Op == isa.Halt:
 			c.commitEntry(e)
 			c.halted = true
 			return
 		case in.Op == isa.Fence:
-			ok, why := c.backend.RetireFence()
-			if !ok {
-				c.stallAt(why)
-				return
-			}
-			c.RetiredFences++
+			ok, why = c.backend.RetireFence()
+			counter = &c.RetiredFences
 		case in.Op.IsLoad():
-			ok, why := c.backend.RetireLoad(in.Op, e.addr, e.fromL1)
-			if !ok {
-				c.stallAt(why)
-				return
-			}
-			c.RetiredLoads++
+			ok, why = c.backend.RetireLoad(in.Op, e.addr, e.fromL1)
+			counter = &c.RetiredLoads
 		case in.Op.IsStore():
-			ok, why := c.backend.RetireStore(in.Op, e.addr, e.dataVal)
-			if !ok {
-				c.stallAt(why)
-				return
-			}
-			c.RetiredStores++
+			ok, why = c.backend.RetireStore(in.Op, e.addr, e.dataVal)
+			counter = &c.RetiredStores
 		case in.Op.IsAtomic():
 			opA, opB := c.atomicData(e)
-			ok, old, why := c.backend.RetireAtomic(in.Op, e.addr, opA, opB)
-			if !ok {
-				c.stallAt(why)
-				return
+			var old memtypes.Word
+			if ok, old, why = c.backend.RetireAtomic(in.Op, e.addr, opA, opB); ok {
+				e.value, e.state = old, sDone
 			}
-			e.value = old
-			e.state = sDone
-			c.RetiredAtomics++
+			counter = &c.RetiredAtomics
+		}
+		if !ok {
+			c.stallAt(why)
+			return
+		}
+		if counter != nil {
+			*counter++
 		}
 		c.commitEntry(e)
 	}
@@ -488,8 +425,8 @@ func (c *Core) retire() {
 // headReadyAt is the head-readiness rule: the first cycle retire() lets the
 // head entry e reach its retirement action (<= c.now: this cycle), or
 // memtypes.NoEvent when only an outside event can get it there (a fill, an
-// atomic producer's retirement, or — for an entry not issued yet — the
-// issue scan, whose horizon covers it). Halt and Fence need no execution;
+// atomic producer's retirement, or — for an entry not issued yet — its
+// issue, which the issue term covers). Halt and Fence need no execution;
 // an atomic needs its address and its data operands; everything else
 // needs its result (resultAt).
 func (c *Core) headReadyAt(e *robEntry) uint64 {
@@ -545,170 +482,204 @@ func (c *Core) commitEntry(e *robEntry) {
 		c.storeQ.popHead()
 	}
 	// Halt and Fence can retire straight out of sDispatched (retirement
-	// policy handles them at the head before issue ever sees them); the slot
-	// is the oldest instruction, so if it is still queued it is dispQ[0].
-	if c.dispQ.len() > 0 && c.dispQ.slots()[0] == slot {
-		c.dispQ.popHead()
+	// policy handles them at the head before issue ever sees them).
+	if c.disp.has(slot) {
+		c.undispatch(slot)
 	}
 	c.pc = e.predNext // committed successor (mispredicts were squashed at execute)
-	c.disturbIssue()  // an atomic's value binds at retirement; the window moves
 	e.used = false
-	c.head = (c.head + 1) % c.cfg.ROBSize
+	if c.head++; c.head == c.cfg.ROBSize {
+		c.head = 0
+	}
 	c.count--
 	c.Retired++
 	c.RetiredThisCycle++
+	if in.Op.IsAtomic() {
+		// The atomic's value binds here, and loads waiting on it may go.
+		c.wakeWaiters(slot)
+		c.wakeLoads(e)
+	}
 	c.backend.OnRetireInstr()
 }
 
 // ----------------------------------------------------------------- issue
 
+// issue walks the ready entries of the issue window in age order. The
+// window is positional: the IssueWindow oldest dispatched entries, ready or
+// not. A store addressed earlier in the walk re-files the younger loads it
+// affects (wakeLoads) before the walk reaches them; a squash removes the
+// younger entries from the walk and a mispredict ends it.
 func (c *Core) issue() {
-	if c.dispQ.len() == 0 {
-		return
-	}
-	if c.issueQuiet && c.now < c.issueWake {
-		return
-	}
-	c.issueQuiet = false
-	issued := 0
-	memIssued := 0
-	window := c.issueWindow()
-	examined := 0
-	// Iterate a snapshot: mid-scan squashes (replays, mispredicts) rebuild
-	// dispQ, but squashed slots cannot be reused until fetch runs, so stale
-	// snapshot entries are safely skipped by the used/state check.
-	scratch := append(c.issueScratch[:0], c.dispQ.slots()...)
-	c.issueScratch = scratch
-	for _, s := range scratch {
-		e := &c.rob[s]
-		if !e.used || e.state != sDispatched {
-			continue // squashed during this scan
-		}
-		if issued >= c.cfg.IssueWidth || examined >= window {
+	c.wakeDue()
+	issued, memIssued, end := 0, 0, -1
+	for a := 0; issued < c.cfg.IssueWidth; a++ {
+		s := c.nextIn(c.ready, a)
+		if s < 0 {
 			break
 		}
-		examined++
-		if c.memoWake(e) && c.now < e.wakeAt {
-			continue // memoized: cannot become ready this cycle
+		if end < 0 {
+			end = c.windowEnd()
 		}
-		p := c.examineEntry(e)
-		if p.at > c.now {
-			e.wakeAt = p.at
-			e.wakeGen = c.opGen
-			e.wakeFlow = c.flowGen
-			continue
+		if a = c.slotAge(s); a >= end {
+			break
 		}
+		e := &c.rob[s]
+		c.bindOps(e) // a ready entry's operands can all bind
 		in := e.in
 		switch {
 		case in.Op == isa.Halt || in.Op == isa.Fence:
 			// No execution; retirement policy handles them at the head.
 			e.state = sDone
 			e.doneAt = c.now
-			c.removeDisp(s)
+			c.undispatch(s)
 			continue
 		case in.Op.IsLoad():
 			if memIssued >= c.cfg.MemPorts {
 				continue
 			}
 			memIssued++
-			c.issueLoad(s, e, p.fwd)
-			if e.state != sDispatched {
-				c.removeDisp(s)
-			}
-		case in.Op.IsStore():
-			e.addr = effAddr(e.opVal[0], in)
-			e.addrOK = true
-			e.dataVal = e.opVal[1]
-			e.state = sDone
-			e.doneAt = c.now
-			c.removeDisp(s)
-			c.checkStoreConflicts(s, e)
-		case in.Op.IsAtomic():
-			// Address generation only; the RMW happens at retirement.
+			// The verdict stands (only events change it, and they re-file
+			// the load), but a store it would forward from may have retired
+			// since: search again.
+			c.issueLoad(s, e, c.classifyIssue(e).fwd)
+		case in.Op.IsStore() || in.Op.IsAtomic():
+			// An atomic only generates its address; the RMW happens at
+			// retirement.
 			e.addr = effAddr(e.opVal[0], in)
 			e.addrOK = true
 			e.state = sIssued
 			e.doneAt = c.now
-			c.removeDisp(s)
+			if in.Op.IsStore() {
+				e.dataVal = e.opVal[1]
+				e.state = sDone
+			}
+			c.undispatch(s)
 			c.checkStoreConflicts(s, e)
+			c.wakeLoads(e)
 		case in.Op.IsBranch():
-			c.removeDisp(s)
+			c.undispatch(s)
 			if c.executeBranch(s, e) {
-				return // younger entries are gone (and every memo with them)
+				return // younger entries are gone
 			}
 		default:
 			e.value = evalALU(in, e.opVal[0], e.opVal[1])
 			e.state = sIssued
 			e.doneAt = c.now + in.Op.Latency(in.Imm)
 			c.queueExec(s)
-			c.removeDisp(s)
+			c.undispatch(s)
+			c.wakeWaiters(s)
 		}
 		issued++
-		c.flowGen++ // may start a NoEvent wait's producer or address a store
-	}
-	if issued == 0 {
-		// Nothing started (so no port was consumed and no entry changed
-		// state except Halt/Fence leaving the queue): cache the earliest
-		// cycle the remaining window could become ready.
-		c.issueQuiet, c.issueWake = true, c.dispHorizon()
 	}
 }
 
-// issueWindow is how many dispatched entries one issue scan may examine.
-func (c *Core) issueWindow() int {
-	if c.cfg.IssueWindow <= 0 {
+// nextIn returns the oldest member of m whose age is at least a, or -1.
+// Only live slots are ever members, so the search runs from age a to the
+// youngest live slot, wrapping from the end of the ring to slot 0.
+func (c *Core) nextIn(m slotSet, a int) int {
+	n := len(c.rob)
+	end := c.head + c.count // past the youngest live slot, unwrapped
+	if lo := c.head + a; lo < n {
+		if s := m.first(lo, min(n, end)); s >= 0 || end <= n {
+			return s
+		}
+		a = n - c.head
+	}
+	return m.first(c.head+a-n, end-n)
+}
+
+// windowEnd is the age at which the issue window ends: that of the oldest
+// dispatched entry behind the IssueWindow oldest ones.
+func (c *Core) windowEnd() int {
+	w := c.cfg.IssueWindow
+	if w <= 0 || c.nDisp <= w {
 		return c.cfg.ROBSize
 	}
-	return c.cfg.IssueWindow
+	s, n := c.disp.nth(c.head, len(c.rob), w)
+	if s < 0 {
+		s, _ = c.disp.nth(0, c.head, w-n)
+	}
+	return c.slotAge(s)
 }
 
-// memoWake reports whether e's issue-readiness memo is valid.
-func (c *Core) memoWake(e *robEntry) bool {
-	return e.wakeGen == c.opGen && (e.wakeAt != memtypes.NoEvent || e.wakeFlow == c.flowGen)
+// file records dispatched entry s's issue verdict at: ready, pending until
+// at, or (NoEvent) waiting for an event that re-files it.
+func (c *Core) file(s int, at uint64) {
+	c.ready.del(s)
+	c.pend.del(s)
+	switch {
+	case at <= c.now:
+		c.ready.add(s)
+	case at != memtypes.NoEvent:
+		c.pend.add(s)
+		c.rob[s].wakeAt = at
+		c.pendMin = min(c.pendMin, at)
+	}
 }
 
-// dispHorizon returns the earliest cycle any dispatched entry within the
-// issue window could issue (NextEvent's issue term), by the issue
-// classifier or its memoized verdict.
-func (c *Core) dispHorizon() uint64 {
-	next := uint64(memtypes.NoEvent)
-	window := c.issueWindow()
-	for i, s := range c.dispQ.slots() {
-		if i >= window {
+// wake re-classifies dispatched entry s and files the verdict.
+func (c *Core) wake(s int) { c.file(s, c.classifyIssue(&c.rob[s]).at) }
+
+// wakeDue re-files the pending entries whose verdict has come due.
+func (c *Core) wakeDue() {
+	if c.now < c.pendMin {
+		return
+	}
+	c.pendMin = memtypes.NoEvent
+	for i, w := range c.pend {
+		for ; w != 0; w &= w - 1 {
+			s := i<<6 | bits.TrailingZeros64(w)
+			switch at := c.rob[s].wakeAt; {
+			case at > c.now:
+				c.pendMin = min(c.pendMin, at)
+			case c.rob[s].in.Op.IsLoad():
+				c.wake(s) // its operand is due; its store-queue search is not
+			default:
+				c.file(s, at) // operand times are fixed once known
+			}
+		}
+	}
+}
+
+// wakeWaiters re-files the entries waiting for entry p's result time,
+// which has just become known: p issued (an ALU op, a load hit or
+// forward), its fill arrived, or (an atomic) it committed.
+func (c *Core) wakeWaiters(p int) {
+	pe := &c.rob[p]
+	for l := pe.waiters; l >= 0; {
+		s, k := int(l>>2), l&3
+		e := &c.rob[s]
+		l = e.wnext[k]
+		if e.used && e.state == sDispatched && e.srcRef[k] == p && e.srcSeq[k] == pe.seq {
+			c.wake(s)
+		}
+	}
+	pe.waiters = -1
+}
+
+// wakeLoads re-files the dispatched loads younger than st whose address is
+// st's word: st, a store or atomic, just got its address, or the atomic
+// committed. Only their store-queue search can have changed.
+func (c *Core) wakeLoads(st *robEntry) {
+	lq := c.loadQ.slots()
+	for i := len(lq) - 1; i >= 0; i-- {
+		l := &c.rob[lq[i]]
+		if l.seq < st.seq {
 			break
 		}
-		e := &c.rob[s]
-		at := e.wakeAt
-		if !c.memoWake(e) {
-			at = c.classifyIssue(e).at
-		}
-		// A memoized verdict may be conservatively early (never late) —
-		// exactly the NextEvent contract — but it may also sit in the past
-		// when a width-limited scan broke before refreshing it, and a fresh
-		// one is in the past when the entry is ready now; clamp to the
-		// future (NoEvent saturates).
-		next = min(next, max(c.now+1, at))
-	}
-	return next
-}
-
-// disturbIssue invalidates the issue-horizon cache and every per-entry
-// readiness memo: an event outside the issue classifier's time-based
-// analysis may have made an entry ready.
-func (c *Core) disturbIssue() {
-	c.issueQuiet = false
-	c.opGen++
-}
-
-// removeDisp removes a slot from the dispatched queue the moment it leaves
-// sDispatched. Issued slots sit near the front, so the scan is short.
-func (c *Core) removeDisp(slot int) {
-	for i, s := range c.dispQ.slots() {
-		if s == slot {
-			c.dispQ.remove(i)
-			return
+		if v, at := c.operandAt(l, 0); l.state == sDispatched && at <= c.now && effAddr(v, l.in) == st.addr {
+			c.wake(lq[i])
 		}
 	}
+}
+
+// undispatch removes slot from the dispatched set the moment it leaves
+// sDispatched (issue, head retirement of Halt/Fence, squash).
+func (c *Core) undispatch(slot int) {
+	c.disp.del(slot)
+	c.ready.del(slot)
+	c.pend.del(slot)
+	c.nDisp--
 }
 
 // resultAt is the first cycle entry e's result can feed a consumer (<=
@@ -746,7 +717,8 @@ func (c *Core) operandAt(e *robEntry, k int) (memtypes.Word, uint64) {
 }
 
 // bindOps binds every operand of e that operandAt can resolve by now, so
-// later resolutions are a flag test.
+// later resolutions are a flag test. The issue walk binds the entries it
+// visits; binding earlier would only save lookups.
 func (c *Core) bindOps(e *robEntry) {
 	for k := 0; k < 3; k++ {
 		if e.opOK[k] {
@@ -773,12 +745,11 @@ type issuePlan struct {
 // business), everything else every source operand. A load whose address
 // is known searches the store queue, youngest first, for the nearest older
 // store or atomic to the same word: a store forwards its staged data; an
-// atomic's result is unknown until it retires, so the load waits. That
-// wait is pure: only the atomic's commit or a squash (both disturbIssue),
-// or an issue that gives an intervening store its address (flowGen), can
-// end it. A load with no match goes to memory, optimistically past older
-// stores whose address is unknown (checkStoreConflicts replays it if that
-// was wrong).
+// atomic's result is unknown until it retires, so the load waits: only
+// the atomic's commit, or an intervening store getting its address, can
+// end that (wakeLoads). A load with no match goes to memory, optimistically
+// past older stores whose address is unknown (checkStoreConflicts replays
+// it if that was wrong).
 func (c *Core) classifyIssue(e *robEntry) issuePlan {
 	need := 3
 	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
@@ -786,8 +757,10 @@ func (c *Core) classifyIssue(e *robEntry) issuePlan {
 	}
 	var at uint64
 	for k := 0; k < need; k++ {
-		_, t := c.operandAt(e, k)
-		at = max(at, t)
+		if !e.opOK[k] {
+			_, t := c.operandAt(e, k)
+			at = max(at, t)
+		}
 	}
 	if at > c.now || !e.in.Op.IsLoad() {
 		return issuePlan{at: at, fwd: -1}
@@ -808,12 +781,6 @@ func (c *Core) classifyIssue(e *robEntry) issuePlan {
 	return issuePlan{at: at, fwd: -1}
 }
 
-// examineEntry binds e's available operands and classifies it.
-func (c *Core) examineEntry(e *robEntry) issuePlan {
-	c.bindOps(e)
-	return c.classifyIssue(e)
-}
-
 // effAddr is a memory instruction's word-aligned effective address.
 func effAddr(base memtypes.Word, in isa.Instr) memtypes.Addr {
 	return memtypes.WordAlign(memtypes.Addr(base) + memtypes.Addr(in.Imm))
@@ -821,38 +788,32 @@ func effAddr(base memtypes.Word, in isa.Instr) memtypes.Addr {
 
 // issueLoad applies the issue classifier's verdict for a load: forward
 // from the older store in slot fwd, or, when fwd < 0, start the memory
-// access. Either consumes a memory port.
+// access. Either consumes a memory port; only a retry leaves the load
+// dispatched.
 func (c *Core) issueLoad(slot int, e *robEntry, fwd int) {
 	e.addr = effAddr(e.opVal[0], e.in)
 	e.addrOK = true
+	// An in-window forward binds like a store-buffer one: not from the
+	// L1, usable next cycle.
+	res := LoadResult{Status: LoadForwarded, ReadyAt: c.now + 1}
 	if fwd >= 0 {
-		e.value = c.rob[fwd].dataVal
-		e.valueOK = true
-		e.fwdSQ = true
-		e.fwdSeq = c.rob[fwd].seq
-		e.fromL1 = false
-		e.state = sIssued
-		e.doneAt = c.now + 1
-		c.queueExec(slot)
+		res.Value = c.rob[fwd].dataVal
+		e.fwdSQ, e.fwdSeq = true, c.rob[fwd].seq
+	} else if res = c.backend.StartLoad(e.seq, e.addr); res.Status == LoadRetry {
+		return // port consumed; retry next cycle
+	}
+	e.state = sIssued
+	c.undispatch(slot)
+	if res.Status == LoadMiss {
+		e.pendFill, e.fromL1 = true, true
+		e.doneAt = ^uint64(0) >> 1
 		return
 	}
-	res := c.backend.StartLoad(e.seq, e.addr)
-	switch res.Status {
-	case LoadRetry:
-		// Port consumed; retry next cycle.
-	case LoadForwarded, LoadHit:
-		e.value = res.Value
-		e.valueOK = true
-		e.fromL1 = res.Status == LoadHit
-		e.state = sIssued
-		e.doneAt = res.ReadyAt
-		c.queueExec(slot)
-	case LoadMiss:
-		e.pendFill = true
-		e.fromL1 = true
-		e.state = sIssued
-		e.doneAt = ^uint64(0) >> 1
-	}
+	e.value, e.valueOK = res.Value, true
+	e.fromL1 = res.Status == LoadHit
+	e.doneAt = res.ReadyAt
+	c.queueExec(slot)
+	c.wakeWaiters(slot)
 }
 
 // checkStoreConflicts implements optimistic disambiguation: when a store or
@@ -957,6 +918,7 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	// after bind wrote the value, so their stale contents are dead.
 	e.used = true
 	e.seq = c.nextSeq
+	e.waiters = -1
 	e.pc = pc
 	e.in = in
 	e.predNext = predNext
@@ -971,18 +933,29 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	e.fwdSeq = 0
 	e.fromL1 = false
 	e.pendFill = false
-	e.wakeGen = 0 // memo invalid until the first scan
 	for k := 0; k < 3; k++ {
 		e.srcRef[k] = -1
 		e.opOK[k] = true
 	}
-	// bind names operand k's source: the architectural file or the in-flight
-	// producer, which bindOps below resolves if it is done.
+	// bind resolves operand k by the operand rule: from the architectural
+	// file, or from the in-flight producer, bound now if its result is
+	// ready. An operand whose producer has no result time yet waits on the
+	// producer's list.
 	bind := func(k int, r isa.Reg) {
-		if p := c.rename[r]; p >= 0 {
-			e.srcRef[k], e.srcSeq[k], e.srcReg[k], e.opOK[k] = p, c.rob[p].seq, r, false
-		} else {
+		p := c.rename[r]
+		if p < 0 {
 			e.opVal[k] = c.archRegs[r] // R0 is never renamed and reads 0
+			return
+		}
+		pe := &c.rob[p]
+		at := c.resultAt(pe)
+		if at <= c.now {
+			e.opVal[k] = pe.value
+			return
+		}
+		e.srcRef[k], e.srcSeq[k], e.srcReg[k], e.opOK[k] = p, pe.seq, r, false
+		if at == memtypes.NoEvent {
+			e.wnext[k], pe.waiters = pe.waiters, int32(slot<<2|k)
 		}
 	}
 	switch {
@@ -998,7 +971,6 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 		bind(0, in.Rs1)
 		bind(1, in.Rs2)
 	}
-	c.bindOps(e)
 	if in.Op.WritesRd() && in.Rd != isa.R0 {
 		c.rename[in.Rd] = slot
 	}
@@ -1007,9 +979,12 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	} else if in.Op.IsStore() || in.Op.IsAtomic() {
 		c.storeQ.push(slot)
 	}
-	c.dispQ.push(slot)
-	c.disturbIssue()
-	c.tail = (c.tail + 1) % c.cfg.ROBSize
+	c.disp.add(slot)
+	c.nDisp++
+	c.wake(slot)
+	if c.tail++; c.tail == c.cfg.ROBSize {
+		c.tail = 0
+	}
 	c.count++
 }
 
@@ -1031,11 +1006,13 @@ func (c *Core) squashSlots(slot int) {
 	n := c.slotAge(slot)
 	for i, s := n, slot; i < c.count; i, s = i+1, (s+1)%c.cfg.ROBSize {
 		c.rob[s].used = false
+		if c.disp.has(s) {
+			c.undispatch(s)
+		}
 	}
 	c.count = n
 	c.tail = slot
 	c.Squashes++
-	c.disturbIssue()
 	c.rebuildRename()
 }
 
@@ -1058,12 +1035,17 @@ func (c *Core) FlushAll(regs [isa.NumRegs]memtypes.Word, pc int) {
 	c.halted = false
 	c.stallTil = c.now + c.cfg.RedirectPenalty
 	c.Squashes++
-	c.disturbIssue()
+	clear(c.disp)
+	clear(c.ready)
+	clear(c.pend)
+	c.nDisp = 0
 	c.rebuildRename()
 }
 
 // rebuildRename reconstructs the rename table and the load/store/exec
-// queues from the surviving ROB entries after a squash.
+// queues from the surviving ROB entries after a squash, and drops the
+// squashed consumers from the survivors' waiter lists: they are the
+// youngest entries, so they head every list they are on.
 func (c *Core) rebuildRename() {
 	for i := range c.rename {
 		c.rename[i] = -1
@@ -1071,9 +1053,14 @@ func (c *Core) rebuildRename() {
 	c.loadQ.reset()
 	c.storeQ.reset()
 	c.execQ = c.execQ[:0]
-	c.dispQ.reset()
+	c.execMin = memtypes.NoEvent
 	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%c.cfg.ROBSize {
 		e := &c.rob[s]
+		l := e.waiters
+		for l >= 0 && !c.rob[l>>2].used {
+			l = c.rob[l>>2].wnext[l&3]
+		}
+		e.waiters = l
 		if e.in.Op.WritesRd() && e.in.Rd != isa.R0 {
 			c.rename[e.in.Rd] = s
 		}
@@ -1084,12 +1071,7 @@ func (c *Core) rebuildRename() {
 		}
 		if e.state == sIssued && !e.in.Op.IsAtomic() && !e.pendFill {
 			c.execQ = append(c.execQ, s)
-			if e.doneAt < c.execMin {
-				c.execMin = e.doneAt
-			}
-		}
-		if e.state == sDispatched {
-			c.dispQ.push(s)
+			c.execMin = min(c.execMin, e.doneAt)
 		}
 	}
 }
@@ -1107,7 +1089,7 @@ func (c *Core) FillLoad(tag uint64, val memtypes.Word) {
 			e.valueOK = true
 			e.doneAt = c.now + 1
 			c.queueExec(s)
-			c.disturbIssue()
+			c.wakeWaiters(s)
 			return
 		}
 	}
@@ -1144,11 +1126,9 @@ func (c *Core) SnoopBlock(block memtypes.Addr) bool {
 // late: if the core would change state at cycle T, the returned value must
 // be <= T. Early hints only cost a wasted tick.
 //
-// The issue term is the issue classifier's verdict over the window (or the
-// scan's memoized horizon): the same rule the scan applies, so a load
-// waiting on an older same-word atomic contributes no event. The method is
-// read-only; in particular it never binds operands (the issue path does
-// that), so calling it cannot perturb the simulation.
+// The issue term reads the verdicts the issue walk reads (issueAt), so a
+// load waiting on an older same-word atomic contributes no event. The
+// method is read-only, so calling it cannot perturb the simulation.
 func (c *Core) NextEvent() uint64 {
 	t, _ := c.NextEventTerm()
 	return t
@@ -1173,25 +1153,44 @@ func (c *Core) NextEventTerm() (uint64, string) {
 	if t := max(c.now+1, c.execMin); len(c.execQ) > 0 && t < next {
 		next, term = t, "exec"
 	}
-	// Dispatched entries become issueable when their operands arrive (only
-	// the first IssueWindow queue entries can be examined by the scan, so
-	// later ones cannot generate an event before the queue moves). A valid
-	// issue-horizon cache is exactly this term, already computed.
-	t := max(c.now+1, c.issueWake)
-	if !c.issueQuiet {
-		t = c.dispHorizon()
-	}
-	if t < next {
+	// Dispatched entries become issueable when their verdicts come due
+	// (only the issue window can issue, so later entries cannot generate an
+	// event before the window moves).
+	if t := c.issueAt(); t < next {
 		next, term = t, "issue"
 	}
 	return next, term
+}
+
+// issueAt is NextEvent's issue term: the next cycle if the issue window
+// holds a ready entry, else the earliest wake of a pending one in it.
+func (c *Core) issueAt() uint64 {
+	if c.nDisp == 0 {
+		return memtypes.NoEvent
+	}
+	end := c.windowEnd()
+	if s := c.nextIn(c.ready, 0); s >= 0 && c.slotAge(s) < end {
+		return c.now + 1
+	}
+	at := uint64(memtypes.NoEvent)
+	for a := 0; ; a++ {
+		s := c.nextIn(c.pend, a)
+		if s < 0 {
+			break
+		}
+		if a = c.slotAge(s); a >= end {
+			break
+		}
+		at = min(at, c.rob[s].wakeAt)
+	}
+	return max(c.now+1, at)
 }
 
 // IssueProgress reports the dispatched (not yet issued) and executing
 // queue lengths: the core's issue and completion progress, which the ROB
 // occupancy and retirement counters do not show. Diagnostics only.
 func (c *Core) IssueProgress() (dispatched, executing int) {
-	return c.dispQ.len(), len(c.execQ)
+	return c.nDisp, len(c.execQ)
 }
 
 // HeadState is a read-only snapshot of the ROB head, exposed so the node
@@ -1246,10 +1245,7 @@ func (c *Core) SkipCycles(k uint64) {
 	if c.fetchPC >= 0 && c.fetchPC < len(c.prog.Instrs) {
 		return // would have fetched; the scheduler never skips this state
 	}
-	first := c.now + 1
-	if c.stallTil > first {
-		first = c.stallTil
-	}
+	first := max(c.now+1, c.stallTil)
 	if last := c.now + k; last >= first {
 		c.FetchedWrongPath += last - first + 1
 	}
@@ -1298,19 +1294,21 @@ func evalALU(in isa.Instr, a, b memtypes.Word) memtypes.Word {
 	case isa.ShrI:
 		return a >> uint(in.Imm&63)
 	case isa.SltU:
-		if a < b {
-			return 1
-		}
-		return 0
+		return wordOf(a < b)
 	case isa.Seq:
-		if a == b {
-			return 1
-		}
-		return 0
+		return wordOf(a == b)
 	case isa.Nop, isa.Delay:
 		return 0
 	}
 	panic(fmt.Sprintf("cpu: evalALU on %v", in.Op))
+}
+
+// wordOf is 1 for true, 0 for false.
+func wordOf(b bool) memtypes.Word {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // AtomicApply computes an atomic op's new memory value. doWrite is false

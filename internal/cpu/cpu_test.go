@@ -1,7 +1,9 @@
 package cpu
 
 import (
+	"math/rand"
 	"testing"
+	"unsafe"
 
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
@@ -19,6 +21,8 @@ type fakeBackend struct {
 	stallReason StallReason
 	missAddrs   map[memtypes.Addr]bool // loads to these addresses go pending
 	pending     []pendingFill
+	retryEvery  int // every retryEvery-th StartLoad finds no MSHR (0: never)
+	starts      int
 
 	retired int
 }
@@ -41,6 +45,9 @@ func newFake(now *uint64) *fakeBackend {
 }
 
 func (f *fakeBackend) StartLoad(tag uint64, addr memtypes.Addr) LoadResult {
+	if f.starts++; f.retryEvery > 0 && f.starts%f.retryEvery == 0 {
+		return LoadResult{Status: LoadRetry}
+	}
 	if f.missAddrs[memtypes.BlockAddr(addr)] {
 		f.pending = append(f.pending, pendingFill{tag, f.mem[addr]})
 		return LoadResult{Status: LoadMiss}
@@ -432,5 +439,194 @@ func TestFlushAllBelowHeadRestartsRing(t *testing.T) {
 		if got := c.ArchReg(isa.Reg(r)); got != it.Regs[r] {
 			t.Errorf("r%d = %d, want %d", r, got, it.Regs[r])
 		}
+	}
+}
+
+// Registers of randomProgram: data registers, the base address, the
+// late-computed address and the loop counter.
+var (
+	randRegs = []isa.Reg{isa.R1, isa.R2, isa.R3, isa.R4, isa.R5, isa.R6}
+	randBase = isa.R10
+	randLate = isa.R11
+	randCtr  = isa.R12
+)
+
+// randomProgram is a random single-thread program over eight words in two
+// blocks at 0x1000 (TestIssueNeverLate makes the second block miss): ALU
+// chains, loads, stores, atomics and fences on the shared words, forward
+// branches, and memory accesses whose address waits on a data register
+// (so stores get their address late and younger loads replay). With loop
+// set the body runs in a counted loop.
+func randomProgram(rng *rand.Rand, loop bool) *isa.Program {
+	b := isa.NewBuilder("random")
+	reg := func() isa.Reg { return randRegs[rng.Intn(len(randRegs))] }
+	off := func() int64 { return int64(8*rng.Intn(4) + 0x40*rng.Intn(2)) }
+	b.MovI(randBase, 0x1000)
+	if loop {
+		b.MovI(randCtr, int64(3+rng.Intn(10)))
+		b.Label("top")
+	}
+	for i, n := 0, 20+rng.Intn(40); i < n; i++ {
+		switch rng.Intn(14) {
+		case 0:
+			b.MovI(reg(), rng.Int63n(16))
+		case 1:
+			b.Add(reg(), reg(), reg())
+		case 2:
+			b.AddI(reg(), reg(), rng.Int63n(8))
+		case 3:
+			b.Mul(reg(), reg(), reg())
+		case 4, 5:
+			b.Ld(reg(), randBase, off())
+		case 6:
+			b.St(randBase, off(), reg())
+		case 7, 8: // an address known only once a data register is
+			b.Mul(randLate, reg(), isa.R0)
+			b.Add(randLate, randLate, randBase)
+			if rng.Intn(2) == 0 {
+				b.St(randLate, off(), reg())
+			} else {
+				b.Ld(reg(), randLate, off())
+			}
+		case 9:
+			b.Fadd(reg(), randBase, off(), reg())
+		case 10:
+			if rng.Intn(2) == 0 {
+				b.Cas(reg(), randBase, off(), reg(), reg())
+			} else {
+				b.Swap(reg(), randBase, off(), reg())
+			}
+		case 11:
+			if rng.Intn(2) == 0 {
+				b.Fence()
+			} else {
+				b.Delay(rng.Int63n(6))
+			}
+		default:
+			skip := b.FreshLabel("skip")
+			b.Bne(reg(), reg(), skip)
+			b.AddI(reg(), reg(), 1)
+			b.Label(skip)
+		}
+	}
+	if loop {
+		b.AddI(randCtr, randCtr, -1)
+		b.Bne(randCtr, isa.R0, "top")
+	}
+	b.Halt()
+	return b.MustBuild()
+}
+
+// checkWake checks the core's wake structure against the issue rule, read
+// only: every dispatched entry is filed exactly as classifyIssue rates it
+// now — ready when it can issue by now, pending until exactly the cycle it
+// can, and in neither set when only an event can let it issue. A missing
+// or later filing would let the issue walk or NextEvent miss the entry (a
+// late wake); an earlier one costs a wasted tick.
+func checkWake(t *testing.T, c *Core, seed int64, cycle uint64) {
+	t.Helper()
+	n := 0
+	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%c.cfg.ROBSize {
+		e := &c.rob[s]
+		if !c.disp.has(s) {
+			if e.state == sDispatched || c.ready.has(s) || c.pend.has(s) {
+				t.Fatalf("seed %d, cycle %d: slot %d (%v) is dispatched=%v ready=%v pend=%v but not in the dispatched set", seed, cycle, s, e.in, e.state == sDispatched, c.ready.has(s), c.pend.has(s))
+			}
+			continue
+		}
+		n++
+		at := c.classifyIssue(e).at
+		ready, pend := c.ready.has(s), c.pend.has(s)
+		late := at != memtypes.NoEvent && !ready && !(pend && e.wakeAt <= at)
+		exact := ready == (at <= c.now) && pend == (at > c.now && at != memtypes.NoEvent) && (!pend || e.wakeAt == at)
+		if late || !exact {
+			t.Fatalf("seed %d, cycle %d: slot %d (%v, seq %d, age %d) can issue at %d (now %d), but ready=%v pend=%v wakeAt=%d (late=%v)",
+				seed, cycle, s, e.in, e.seq, i, at, c.now, ready, pend, e.wakeAt, late)
+		}
+	}
+	if n != c.nDisp {
+		t.Fatalf("seed %d, cycle %d: %d dispatched slots, nDisp %d", seed, cycle, n, c.nDisp)
+	}
+}
+
+// progress is what a core tick that does anything changes.
+type progress struct {
+	retired, squashes uint64
+	rob, disp, exec   int
+}
+
+func progressOf(c *Core) progress {
+	d, x := c.IssueProgress()
+	return progress{c.Retired, c.Squashes, c.count, d, x}
+}
+
+// TestIssueNeverLate runs random looping and loop-free programs — misses,
+// retried loads, snoop replays, atomics and stores to shared words, on the
+// Figure 6 core and on small ROBs with narrow issue windows — and checks the wake structure against the issue rule before every Tick
+// (checkWake), that no tick before the core's hint (NextEvent, or the
+// head's ReadyAt) changes its state, and the final registers and memory
+// against the reference interpreter.
+func TestIssueNeverLate(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		prog := randomProgram(rng, seed%2 == 0)
+		var now uint64
+		fb := newFake(&now)
+		fb.missAddrs[memtypes.BlockAddr(0x1040)] = true
+		fb.retryEvery = 5 + rng.Intn(10)
+		cfg := DefaultConfig()
+		if seed%3 == 0 { // a small ring that wraps often, a narrow window
+			cfg.ROBSize, cfg.IssueWindow = 8+rng.Intn(40), 2+rng.Intn(12)
+		}
+		c := New(0, cfg, prog, [isa.NumRegs]memtypes.Word{}, fb)
+		hint := uint64(1)
+		for now = 1; now < 100_000 && !c.Halted(); now++ {
+			checkWake(t, c, seed, now)
+			before := progressOf(c)
+			c.Tick(now)
+			if now < hint && progressOf(c) != before {
+				t.Fatalf("seed %d, cycle %d: the core changed state before its hint %d", seed, now, hint)
+			}
+			if len(fb.pending) > 0 && rng.Intn(8) == 0 {
+				i := rng.Intn(len(fb.pending))
+				p := fb.pending[i]
+				fb.pending = append(fb.pending[:i], fb.pending[i+1:]...)
+				c.FillLoad(p.tag, p.val)
+			}
+			if rng.Intn(64) == 0 {
+				c.SnoopBlock(memtypes.BlockAddr(0x1000 + 0x40*memtypes.Addr(rng.Intn(2))))
+			}
+			hint = c.NextEvent()
+			if hs := c.HeadState(); hs.Valid {
+				hint = min(hint, hs.ReadyAt)
+			}
+		}
+		if !c.Halted() {
+			t.Fatalf("seed %d: did not halt", seed)
+		}
+		it := isa.NewInterp(prog, [isa.NumRegs]memtypes.Word{}, nil)
+		if err := it.Run(100_000); err != nil {
+			t.Fatal(err)
+		}
+		for r := range it.Regs {
+			if got := c.ArchReg(isa.Reg(r)); got != it.Regs[r] {
+				t.Fatalf("seed %d: r%d = %d, want %d", seed, r, got, it.Regs[r])
+			}
+		}
+		for a, v := range it.Mem { // order-independent: every word is checked
+			if fb.mem[a] != v {
+				t.Fatalf("seed %d: mem[%#x] = %d, want %d", seed, a, fb.mem[a], v)
+			}
+		}
+	}
+}
+
+// TestROBEntrySize pins the ROB entry's size, which every dispatch writes
+// and every litmus-sized run allocates per thread: the wake links took the
+// place of the 24-byte readiness memo, and packing the flags together
+// brought the entry from 240 to 200 bytes.
+func TestROBEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(robEntry{}); n > 200 {
+		t.Fatalf("robEntry is %d bytes, want <= 200", n)
 	}
 }
