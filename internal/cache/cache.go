@@ -118,7 +118,15 @@ type Config struct {
 
 // Cache is a set-associative write-back cache with LRU replacement.
 type Cache struct {
-	cfg      Config
+	cfg Config
+	// Sets materialize lazily, on the first install that touches them: a
+	// Figure 6 machine carries ~17 MB of line state across its 16 nodes, and
+	// zeroing all of it up front dominated short runs' setup time. setIdx[s]
+	// is 0 while set s was never touched (it behaves as all-invalid) and
+	// k > 0 once it lives in sets[k-1]. A 4-byte index instead of a 24-byte
+	// slice header per set keeps an unused cache small; each set's lines are
+	// their own allocation, so a *Line never moves (touched holds them).
+	setIdx   []uint32
 	sets     [][]Line
 	setMask  uint64
 	lruClock uint64
@@ -151,20 +159,14 @@ func New(cfg Config) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d is not a power of two", cfg.Name, nsets))
 	}
-	c := &Cache{cfg: cfg, setMask: uint64(nsets - 1)}
-	// Sets materialize lazily, on the first install that touches them: a
-	// Figure 6 machine carries ~17 MB of line state across its 16 nodes, and
-	// zeroing all of it up front dominated short runs' setup time. A nil set
-	// behaves as all-invalid for lookups (range over nil), and victim
-	// selection materializes it.
-	c.sets = make([][]Line, nsets)
-	return c
+	return &Cache{cfg: cfg, setIdx: make([]uint32, nsets), setMask: uint64(nsets - 1)}
 }
 
 // materialize allocates a set's lines on first use (all invalid).
 func (c *Cache) materialize(idx uint64) []Line {
 	set := make([]Line, c.cfg.Ways)
-	c.sets[idx] = set
+	c.sets = append(c.sets, set)
+	c.setIdx[idx] = uint32(len(c.sets))
 	return set
 }
 
@@ -172,13 +174,17 @@ func (c *Cache) materialize(idx uint64) []Line {
 func (c *Cache) HitLatency() uint64 { return c.cfg.HitLatency }
 
 // Sets returns the number of sets (used by tests).
-func (c *Cache) Sets() int { return len(c.sets) }
+func (c *Cache) Sets() int { return len(c.setIdx) }
 
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.cfg.Ways }
 
+// setFor returns a's set, nil (all invalid) if it was never touched.
 func (c *Cache) setFor(a memtypes.Addr) []Line {
-	return c.sets[(uint64(a)>>memtypes.BlockShift)&c.setMask]
+	if k := c.setIdx[(uint64(a)>>memtypes.BlockShift)&c.setMask]; k > 0 {
+		return c.sets[k-1]
+	}
+	return nil
 }
 
 // Lookup returns the line holding a's block and records an LRU touch, or nil
@@ -342,26 +348,12 @@ func (c *Cache) ConditionalInvalidate(epoch int) int {
 // (stats/tests).
 func (c *Cache) SpecLineCount(epoch int) int {
 	n := 0
-	for s := range c.sets {
-		set := c.sets[s]
+	for _, set := range c.sets {
 		for i := range set {
-			l := &set[i]
-			if l.SpecRead[epoch] || l.SpecWritten[epoch] {
+			if set[i].SpecRead[epoch] || set[i].SpecWritten[epoch] {
 				n++
 			}
 		}
 	}
 	return n
-}
-
-// ForEachValid calls fn for every valid line (tests and invariant checks).
-func (c *Cache) ForEachValid(fn func(*Line)) {
-	for s := range c.sets {
-		set := c.sets[s]
-		for i := range set {
-			if set[i].State.Valid() {
-				fn(&set[i])
-			}
-		}
-	}
 }

@@ -133,7 +133,7 @@ func (t *dirTable) put(a memtypes.Addr, e *entry) {
 }
 
 func (t *dirTable) grow() {
-	size := 64
+	size := 8 // a litmus run's home slice indexes a handful of blocks
 	if len(t.vals) > 0 {
 		size = len(t.vals) * 2
 	}

@@ -170,7 +170,10 @@ type Engine struct {
 	cfg  Config
 	host Host
 
-	epochs [cache.MaxEpochs]epochState
+	// epochs holds one slot per checkpoint the configuration allows: Begin
+	// takes the lowest free slot and at most MaxCheckpoints are live, so
+	// epoch indexes stay below MaxCheckpoints (nil when speculation is off).
+	epochs []epochState
 	order  []int // active epochs, oldest first
 
 	// Forward progress: after an abort at least one instruction must
@@ -198,7 +201,11 @@ func New(cfg Config, host Host) *Engine {
 	if cfg.MaxCheckpoints > cache.MaxEpochs {
 		panic(fmt.Sprintf("core: MaxCheckpoints %d exceeds MaxEpochs %d", cfg.MaxCheckpoints, cache.MaxEpochs))
 	}
-	return &Engine{cfg: cfg, host: host}
+	e := &Engine{cfg: cfg, host: host}
+	if cfg.Mode != ModeOff {
+		e.epochs = make([]epochState, cfg.MaxCheckpoints)
+	}
+	return e
 }
 
 // Config returns the engine's configuration.
@@ -262,7 +269,7 @@ func (e *Engine) Begin() int {
 		panic("core: Begin without CanBegin")
 	}
 	slot := -1
-	for i := 0; i < cache.MaxEpochs; i++ {
+	for i := range e.epochs {
 		if !e.epochs[i].active {
 			slot = i
 			break

@@ -199,10 +199,11 @@ type Core struct {
 	fetchedHalt bool
 
 	// LQ/SQ: slots of in-flight loads and stores/atomics in program
-	// order, and the list of executing entries awaiting completion.
+	// order. execQ holds the executing entries awaiting completion, ordered
+	// by doneAt, so promote pops only the due prefix.
 	loadQ  slotQueue
 	storeQ slotQueue
-	execQ  []int
+	execQ  []execRec
 
 	// Issue wake-up: an entry's issue verdict (classifyIssue) is computed
 	// when something that can change it happens, not every cycle (file).
@@ -215,17 +216,11 @@ type Core struct {
 	nDisp             int
 	// pendMin is a conservative lower bound on every pend entry's wakeAt
 	// (never late: file lowers it, wakeDue recomputes it, squashes only
-	// remove entries), as execMin is for execQ.
+	// remove entries).
 	pendMin uint64
 
 	pred     []uint8 // bimodal 2-bit counters
 	predMask uint32
-
-	// execMin is a conservative lower bound on the earliest doneAt of any
-	// execQ entry (never late: queueExec lowers it, a promote pass or a
-	// squash recomputes it from the survivors). Most cycles promote is a
-	// single compare against it.
-	execMin uint64
 
 	// Per-cycle outputs for the node's accounting.
 	RetiredThisCycle int
@@ -266,7 +261,6 @@ func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word,
 	}
 	c.archRegs = regs
 	c.archRegs[isa.R0] = 0
-	c.execMin = memtypes.NoEvent
 	c.pendMin = memtypes.NoEvent
 	for i := range c.rename {
 		c.rename[i] = -1
@@ -341,35 +335,42 @@ func (c *Core) Tick(now uint64) {
 	c.fetch()
 }
 
-// promote marks finished executions done so they can retire this cycle.
-// Only entries on the exec queue (issued with a completion time) are
-// examined; squashed entries are dropped by seq mismatch.
-func (c *Core) promote() {
-	if len(c.execQ) == 0 || c.now < c.execMin {
-		return // nothing can have completed yet
-	}
-	live := c.execQ[:0]
-	next := uint64(memtypes.NoEvent)
-	for _, s := range c.execQ {
-		e := &c.rob[s]
-		if !e.used || e.state != sIssued || e.pendFill {
-			continue // squashed, reused, or re-queued via FillLoad
-		}
-		if c.now >= e.doneAt {
-			e.state = sDone
-			continue
-		}
-		live = append(live, s)
-		next = min(next, e.doneAt)
-	}
-	c.execQ = live
-	c.execMin = next
+// execRec is an issued entry awaiting completion: its slot, the seq that
+// held the slot when it was queued, and its doneAt (fixed while it waits).
+type execRec struct {
+	at   uint64
+	seq  uint64
+	slot int
 }
 
-// queueExec registers an issued entry for later completion.
+// promote marks finished executions done so they can retire this cycle.
+// execQ is ordered by doneAt, so only the due prefix is visited; an entry
+// squashed since it was queued no longer holds its seq and is dropped.
+func (c *Core) promote() {
+	k := 0
+	for ; k < len(c.execQ) && c.execQ[k].at <= c.now; k++ {
+		r := c.execQ[k]
+		if e := &c.rob[r.slot]; e.used && e.seq == r.seq && e.state == sIssued && !e.pendFill {
+			e.state = sDone
+		}
+	}
+	if k > 0 {
+		c.execQ = c.execQ[:copy(c.execQ, c.execQ[k:])]
+	}
+}
+
+// queueExec registers an issued entry for completion at its doneAt. Entries
+// are mostly queued in doneAt order, so the insertion point is found from
+// the back; equal times keep queueing order.
 func (c *Core) queueExec(slot int) {
-	c.execQ = append(c.execQ, slot)
-	c.execMin = min(c.execMin, c.rob[slot].doneAt)
+	e := &c.rob[slot]
+	r := execRec{at: e.doneAt, seq: e.seq, slot: slot}
+	i := len(c.execQ)
+	c.execQ = append(c.execQ, r)
+	for ; i > 0 && c.execQ[i-1].at > r.at; i-- {
+		c.execQ[i] = c.execQ[i-1]
+	}
+	c.execQ[i] = r
 }
 
 // ---------------------------------------------------------------- retire
@@ -1052,8 +1053,13 @@ func (c *Core) rebuildRename() {
 	}
 	c.loadQ.reset()
 	c.storeQ.reset()
-	c.execQ = c.execQ[:0]
-	c.execMin = memtypes.NoEvent
+	live := c.execQ[:0]
+	for _, r := range c.execQ {
+		if e := &c.rob[r.slot]; e.used && e.seq == r.seq {
+			live = append(live, r)
+		}
+	}
+	c.execQ = live
 	for i, s := 0, c.head; i < c.count; i, s = i+1, (s+1)%c.cfg.ROBSize {
 		e := &c.rob[s]
 		l := e.waiters
@@ -1068,10 +1074,6 @@ func (c *Core) rebuildRename() {
 			c.loadQ.push(s)
 		} else if e.in.Op.IsStore() || e.in.Op.IsAtomic() {
 			c.storeQ.push(s)
-		}
-		if e.state == sIssued && !e.in.Op.IsAtomic() && !e.pendFill {
-			c.execQ = append(c.execQ, s)
-			c.execMin = min(c.execMin, e.doneAt)
 		}
 	}
 }
@@ -1147,11 +1149,12 @@ func (c *Core) NextEventTerm() (uint64, string) {
 	if !c.fetchedHalt && c.count < c.cfg.ROBSize && c.fetchPC >= 0 && c.fetchPC < len(c.prog.Instrs) {
 		next, term = max(c.now+1, c.stallTil), "fetch"
 	}
-	// Execution completions promote entries to sDone. execMin bounds every
-	// live completion from below (possibly early when stale entries linger
-	// — a wasted tick, never a missed one).
-	if t := max(c.now+1, c.execMin); len(c.execQ) > 0 && t < next {
-		next, term = t, "exec"
+	// Execution completions promote entries to sDone; the earliest is at
+	// the front of execQ.
+	if len(c.execQ) > 0 {
+		if t := max(c.now+1, c.execQ[0].at); t < next {
+			next, term = t, "exec"
+		}
 	}
 	// Dispatched entries become issueable when their verdicts come due
 	// (only the issue window can issue, so later entries cannot generate an

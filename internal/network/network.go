@@ -22,7 +22,6 @@ package network
 
 import (
 	"fmt"
-	"math/rand"
 
 	"invisifence/internal/coherence"
 	"invisifence/internal/memtypes"
@@ -158,7 +157,7 @@ type Network struct {
 	nextSeq uint64
 	flight  msgHeap
 	inboxes []inbox
-	rng     *rand.Rand
+	jitter  jitterDraws // cursor into the shared jitter draws (draws.go)
 
 	// Shard mode. owned is nil for a whole-torus network; otherwise
 	// owned[id] reports whether this shard simulates node id. srcSeq
@@ -224,7 +223,7 @@ func New(cfg Config) *Network {
 		n.linkWindows = make([]endRing, nodes*numLinks)
 	}
 	if cfg.Jitter > 0 {
-		n.rng = rand.New(rand.NewSource(cfg.Seed))
+		n.jitter = jitterDraws{seed: cfg.Seed, bound: int64(cfg.Jitter) + 1}
 	}
 	return n
 }
@@ -439,8 +438,8 @@ func (n *Network) Send(src, dst NodeID, payload coherence.Msg) {
 		panic(fmt.Sprintf("network: send to invalid node %d", dst))
 	}
 	lat := n.Latency(src, dst)
-	if n.rng != nil && n.cfg.Jitter > 0 {
-		lat += uint64(n.rng.Int63n(int64(n.cfg.Jitter) + 1))
+	if n.cfg.Jitter > 0 {
+		lat += uint64(n.jitter.draw())
 	}
 	txDone := n.now
 	if n.cfg.LinkBandwidth > 0 {

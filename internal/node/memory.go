@@ -56,9 +56,10 @@ func (n *Node) allocMSHR(block memtypes.Addr, wantX bool) *mshrEntry {
 	} else {
 		m = &mshrEntry{block: block, wantX: wantX}
 	}
-	n.mshrs[block] = m
+	put(&n.mshrs, block, m)
 	n.mshrOrder = append(n.mshrOrder, m)
-	n.setPending[n.l1SetIndex(block)]++
+	set := n.l1SetIndex(block)
+	put(&n.setPending, set, n.setPending[set]+1)
 	return m
 }
 
@@ -75,7 +76,7 @@ func (n *Node) freeMSHR(m *mshrEntry) {
 	if n.cfg.FillHoldCycles > 0 && !m.prefetch {
 		// Livelock avoidance: give the core a short exclusive window on
 		// the freshly arrived line before external probes may take it.
-		n.fillHold[m.block] = n.now + n.cfg.FillHoldCycles
+		put(&n.fillHold, m.block, n.now+n.cfg.FillHoldCycles)
 		if len(n.fillHold) > 1024 {
 			//lint:allow determinism deletes exactly the expired holds, in any order
 			for b, until := range n.fillHold {
@@ -285,7 +286,7 @@ func (n *Node) evictL2Line(v *cache.Line) bool {
 	n.invariantAddr(ok, "L2 evict of absent line", addr)
 	switch old.State {
 	case cache.Modified, cache.Exclusive:
-		n.wbBuf[addr] = wbEntry{data: old.Data, dirty: old.State == cache.Modified}
+		put(&n.wbBuf, addr, wbEntry{data: old.Data, dirty: old.State == cache.Modified})
 		n.send(n.home(addr), coherence.Msg{
 			Kind: coherence.PutX, Addr: addr,
 			Data: old.Data, HasData: true,
@@ -305,7 +306,7 @@ func (n *Node) startCleaning(block memtypes.Addr) {
 	if _, ok := n.cleanings[block]; ok {
 		return
 	}
-	n.cleanings[block] = n.now + n.l2.HitLatency()
+	put(&n.cleanings, block, n.now+n.l2.HitLatency())
 	n.cleanList = append(n.cleanList, block)
 	n.CleaningWBs++
 	if coherence.TraceOn() {

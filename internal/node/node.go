@@ -128,6 +128,9 @@ type Node struct {
 	st  *stats.NodeStats
 	now uint64
 
+	// The block-keyed maps are created on their first write (put): a node
+	// of a tiny run never writes most of them, and reads, deletes and len
+	// work on a nil map.
 	mshrs      map[memtypes.Addr]*mshrEntry
 	mshrOrder  []*mshrEntry
 	mshrFree   []*mshrEntry   // recycled miss entries (waiter capacity kept)
@@ -159,21 +162,15 @@ func New(cfg Config, net *network.Network, prog *isa.Program, regs [isa.NumRegs]
 		cfg.MsgsPerCycle = 8
 	}
 	n := &Node{
-		cfg:         cfg,
-		id:          cfg.ID,
-		nodes:       cfg.Nodes,
-		net:         net,
-		mem:         memctrl.New(cfg.Memory),
-		l1:          cache.New(cfg.L1),
-		l2:          cache.New(cfg.L2),
-		st:          &stats.NodeStats{},
-		mshrs:       make(map[memtypes.Addr]*mshrEntry),
-		setPending:  make(map[uint64]int),
-		wbBuf:       make(map[memtypes.Addr]wbEntry),
-		cleanings:   make(map[memtypes.Addr]uint64),
-		fillHold:    make(map[memtypes.Addr]uint64),
-		parkedFills: make(map[memtypes.Addr]bool),
-		accounting:  true,
+		cfg:        cfg,
+		id:         cfg.ID,
+		nodes:      cfg.Nodes,
+		net:        net,
+		mem:        memctrl.New(cfg.Memory),
+		l1:         cache.New(cfg.L1),
+		l2:         cache.New(cfg.L2),
+		st:         &stats.NodeStats{},
+		accounting: true,
 	}
 	n.dir = coherence.NewDirectory(cfg.ID, cfg.Nodes, n.mem, net)
 	if cfg.UsesFIFOSB() {
@@ -546,4 +543,12 @@ func (n *Node) invariantAddr(cond bool, msg string, a memtypes.Addr) {
 	if !cond {
 		panic(fmt.Sprintf("node %d @%d: %s %#x", n.id, n.now, msg, uint64(a)))
 	}
+}
+
+// put stores v under k in *m, creating the map on first use.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
 }

@@ -78,7 +78,7 @@ func (n *Node) handleFill(m coherence.Msg) {
 	}
 	if !n.installL2(block, m.Data, l2state) {
 		// No L2 victim available yet; retry next cycle via parked fill.
-		n.parkedFills[block] = true
+		put(&n.parkedFills, block, true)
 		n.parked = append(n.parked, parkedProbe{src: n.id, msg: m})
 		return
 	}
@@ -87,7 +87,7 @@ func (n *Node) handleFill(m coherence.Msg) {
 		l1state = cache.Exclusive // dirtiness tracked at the L2
 	}
 	if !n.installL1(block, m.Data, l1state) {
-		n.parkedFills[block] = true
+		put(&n.parkedFills, block, true)
 		n.parked = append(n.parked, parkedProbe{src: n.id, msg: m})
 		return
 	}

@@ -7,6 +7,8 @@ package stats
 import (
 	"fmt"
 	"math"
+
+	"invisifence/internal/cache"
 )
 
 // CycleClass classifies one core-cycle at retirement, matching the five
@@ -86,7 +88,7 @@ type NodeStats struct {
 	Final Breakdown
 
 	// staged[epoch] holds provisional cycles for an active epoch.
-	staged [8]Breakdown
+	staged [cache.MaxEpochs]Breakdown
 
 	// SpecCycles counts every cycle spent with speculation active
 	// (committed or not): the Figure 10 numerator.

@@ -71,9 +71,6 @@ type Campaign struct {
 	events   []Event
 	retries  int
 	finished bool
-	// counted marks the campaign's terminal telemetry as applied
-	// (finishCampaign runs once per campaign).
-	counted bool
 }
 
 func newCampaign(id string, spec invisifence.SweepSpec, jobs []invisifence.Config) *Campaign {
@@ -111,8 +108,11 @@ func (c *Campaign) noteRetry(i int) {
 }
 
 // transition moves cell i to state to, recording the result or error
-// that terminal states carry, and appends the corresponding event.
-func (c *Campaign) transition(i int, to cellState, res *invisifence.Result, errMsg string) {
+// that terminal states carry, and appends the corresponding event. count,
+// when set, runs before the lock is released, with the campaign's final
+// state if this transition finished it ("" otherwise): whatever it applies
+// is visible to anyone who sees the transition.
+func (c *Campaign) transition(i int, to cellState, res *invisifence.Result, errMsg string, count func(finished string)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	from := c.states[i]
@@ -137,12 +137,17 @@ func (c *Campaign) transition(i int, to cellState, res *invisifence.Result, errM
 		// only needs the state: replay answers the cell from the cache.
 		c.jl.record(journalRecord{T: recCell, Cell: i, State: to.String(), Err: errMsg})
 	}
+	finished := ""
 	if !c.finished && c.counts.terminalLocked() {
 		c.finished = true
-		c.appendEventLocked(Event{Cell: -1, State: "campaign " + c.stateLocked()})
+		finished = c.stateLocked()
+		c.appendEventLocked(Event{Cell: -1, State: "campaign " + finished})
 		// Terminal campaigns owe no recovery: seal and remove the WAL.
-		c.jl.record(journalRecord{T: recDone, State: c.stateLocked()})
+		c.jl.record(journalRecord{T: recDone, State: finished})
 		c.jl.retire()
+	}
+	if count != nil {
+		count(finished)
 	}
 	c.cond.Broadcast()
 }

@@ -24,11 +24,11 @@ import (
 // flight or finds the answer in the cache.
 func (s *Server) runCell(c *Campaign, i int) {
 	if s.draining.Load() {
-		c.transition(i, cellAborted, nil, "server draining: cell was queued, never started")
-		s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsAborted++ })
+		s.finishCell(c, i, cellAborted, nil, "server draining: cell was queued, never started",
+			func(t *stats.ServerStats) { t.CellsAborted++ })
 		return
 	}
-	c.transition(i, cellRunning, nil, "")
+	c.transition(i, cellRunning, nil, "", nil)
 	timeout := s.cellTimeout(c.spec.Scale)
 	attempts := 1 + s.opts.MaxCellRetries
 	if attempts < 1 {
@@ -63,13 +63,11 @@ func (s *Server) runCell(c *Campaign, i int) {
 			case runcache.Shared:
 				to, count = cellDeduped, func(t *stats.ServerStats) { t.CellsDeduped++ }
 			}
-			c.transition(i, to, &res, "")
-			s.finishCampaign(c, count)
+			s.finishCell(c, i, to, &res, "", count)
 			return
 		}
 	}
-	c.transition(i, cellFailed, nil, lastErr.Error())
-	s.finishCampaign(c, func(t *stats.ServerStats) { t.CellsFailed++ })
+	s.finishCell(c, i, cellFailed, nil, lastErr.Error(), func(t *stats.ServerStats) { t.CellsFailed++ })
 }
 
 // errCellTimeout marks a watchdog expiry (distinguished from simulation
@@ -161,25 +159,21 @@ func (s *Server) safeRun(cfg invisifence.Config) (res invisifence.Result, err er
 	return s.opts.Run(cfg)
 }
 
-// finishCampaign applies the cell's telemetry delta and, when this cell
-// completed its campaign, the campaign-level counters.
-func (s *Server) finishCampaign(c *Campaign, cell func(*stats.ServerStats)) {
-	st := ""
-	c.mu.Lock()
-	if c.finished {
-		st = c.stateLocked()
-	}
-	justFinished := c.finished && !c.counted
-	c.counted = c.finished
-	c.mu.Unlock()
-	s.count(func(t *stats.ServerStats) {
-		cell(t)
-		if justFinished {
-			if st == "done" {
+// finishCell moves cell i to its terminal state and applies the cell's
+// telemetry delta — plus the campaign-level counters when this cell
+// completed its campaign — inside the same critical section, so a client
+// that sees the campaign finish never reads server counters that lag it.
+func (s *Server) finishCell(c *Campaign, i int, to cellState, res *invisifence.Result, errMsg string, cell func(*stats.ServerStats)) {
+	c.transition(i, to, res, errMsg, func(finished string) {
+		s.count(func(t *stats.ServerStats) {
+			cell(t)
+			switch finished {
+			case "":
+			case "done":
 				t.CampaignsCompleted++
-			} else {
+			default:
 				t.CampaignsFailed++
 			}
-		}
+		})
 	})
 }
