@@ -57,9 +57,9 @@ func sharedDraws(seed, bound int64) *drawSeq {
 	return d
 }
 
-// jitterDraws is one network's cursor into its jitter sequence. The zero
-// value with a bound set draws from the start; nothing is looked up or
-// allocated until the first draw.
+// jitterDraws is one network's cursor into its jitter sequence. It looks
+// nothing up until its first draw, so a network that never sends pays
+// nothing.
 type jitterDraws struct {
 	seed, bound int64
 	seq         *drawSeq
