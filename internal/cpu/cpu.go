@@ -350,7 +350,7 @@ func (c *Core) promote() {
 	k := 0
 	for ; k < len(c.execQ) && c.execQ[k].at <= c.now; k++ {
 		r := c.execQ[k]
-		if e := &c.rob[r.slot]; e.used && e.seq == r.seq && e.state == sIssued && !e.pendFill {
+		if e := &c.rob[r.slot]; e.used && e.seq == r.seq {
 			e.state = sDone
 		}
 	}
