@@ -81,8 +81,8 @@ var corpusCases = []corpusCase{
 // the fence-based models, acquire/release annotations for RC (its sync
 // library emits ld.acq/st.rel instead of fences).
 func fencedPolicy(spec litmus.ConfigSpec) isa.FencePolicy {
-	if spec.Model == consistency.RC {
-		return isa.RCFences
+	if fp := consistency.SyncFences(spec.Model); fp.Synchronizes() {
+		return fp
 	}
 	return isa.RMOFences
 }

@@ -91,13 +91,9 @@ func buildStage(stage int, fp isa.FencePolicy) *isa.Program {
 }
 
 func runPipeline(model consistency.Model, eng ifcore.Config, name string) {
-	fp := isa.NoFences
-	if model == consistency.RMO {
-		fp = isa.RMOFences
-	}
 	progs := make([]*isa.Program, stages)
 	for s := 0; s < stages; s++ {
-		progs[s] = buildStage(s, fp)
+		progs[s] = buildStage(s, consistency.SyncFences(model))
 	}
 	cfg := sim.Config{
 		Net: network.Config{Width: 2, Height: 2, HopLatency: 100, LocalLatency: 1},

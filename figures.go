@@ -221,33 +221,36 @@ func Figure1(c *Campaign) (*Table, error) {
 }
 
 // Figure2 reproduces Figure 2: the consistency-model definition and
-// conventional-implementation rule table.
+// conventional-implementation rule table, derived from the ordering
+// relation. An instruction must drain the store buffer at retirement
+// exactly when the model orders it after an older store; an atomic that
+// need not drain still completes its store (waits for write permission).
 func Figure2() *Table {
 	t := &Table{
 		Title:  "Figure 2: consistency models — definitions and conventional implementations",
 		Header: []string{"model", "relaxations", "SB organization", "load", "store", "atomic", "full fence"},
 	}
-	dash := "-"
 	for _, m := range consistency.Models {
-		r := consistency.RulesFor(m)
-		load, store, atomic, fence := dash, dash, dash, dash
-		if r.LoadNeedsDrain {
+		afterStore := func(c consistency.Class) bool { return consistency.Orders(m, consistency.Store, c) }
+		load, store, atomic, fence := "-", "-", "complete store", "N/A"
+		if afterStore(consistency.Load) {
 			load = "drain SB"
 		}
-		if r.ReleaseNeedsDrain {
+		if afterStore(consistency.RelStore) && !afterStore(consistency.Store) {
 			store = "drain SB at st.rel"
 		}
-		if r.AtomicNeedsDrain {
+		if afterStore(consistency.Atomic) {
 			atomic = "drain SB"
-		} else if r.AtomicNeedsOwnership {
-			atomic = "complete store"
 		}
-		if m == consistency.SC {
-			fence = "N/A"
-		} else if r.FenceNeedsDrain {
-			fence = "drain SB"
+		// A fence has nothing to order under a model that relaxes no pair.
+		for _, a := range consistency.Classes {
+			for _, b := range consistency.Classes {
+				if !consistency.Orders(m, a, b) && afterStore(consistency.Fence) {
+					fence = "drain SB"
+				}
+			}
 		}
-		t.AddRow(m.String(), r.Relaxations, r.SB.String(), load, store, atomic, fence)
+		t.AddRow(m.String(), consistency.Relaxations(m), consistency.ConventionalSB(m).String(), load, store, atomic, fence)
 	}
 	return t
 }

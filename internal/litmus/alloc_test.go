@@ -3,6 +3,8 @@ package litmus
 import (
 	"runtime"
 	"testing"
+
+	"invisifence/internal/consistency"
 )
 
 // TestRunSeedAllocBytes pins construction sized to the run: one SB run
@@ -25,7 +27,7 @@ func TestRunSeedAllocBytes(t *testing.T) {
 		t.Fatal("test order changed")
 	}
 	for _, spec := range AllConfigs() {
-		h := HarnessFor(sb, DefaultPolicy(spec.Model))
+		h := HarnessFor(sb, consistency.SyncFences(spec.Model))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for seed := int64(0); seed < runs; seed++ {
@@ -45,7 +47,7 @@ func TestRunSeedAllocBytes(t *testing.T) {
 func BenchmarkRunSeed(b *testing.B) {
 	sb := Tests[0]
 	for _, spec := range AllConfigs() {
-		h := HarnessFor(sb, DefaultPolicy(spec.Model))
+		h := HarnessFor(sb, consistency.SyncFences(spec.Model))
 		b.Run(spec.Name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -631,20 +631,7 @@ type Result struct {
 // model: under RMO the builders emit their fences, under RC their
 // acquire/release annotations (fenced = true for the Forbidden predicate).
 func Run(t Test, spec ConfigSpec, seeds int) Result {
-	return RunWithPolicy(t, spec, DefaultPolicy(spec.Model), seeds)
-}
-
-// DefaultPolicy is the fence policy a correct sync library would use for
-// the model: full fences under RMO, acquire/release annotations under RC,
-// nothing under the stronger models.
-func DefaultPolicy(m consistency.Model) isa.FencePolicy {
-	switch m {
-	case consistency.RMO:
-		return isa.RMOFences
-	case consistency.RC:
-		return isa.RCFences
-	}
-	return isa.NoFences
+	return RunWithPolicy(t, spec, consistency.SyncFences(spec.Model), seeds)
 }
 
 // RunWithPolicy is Run with an explicit fence policy, letting callers probe
@@ -805,7 +792,7 @@ func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
 
 func sbCapacity(spec ConfigSpec) int {
 	if spec.Engine.Mode == ifcore.ModeOff &&
-		consistency.RulesFor(spec.Model).SB == consistency.SBFIFOWord {
+		consistency.ConventionalSB(spec.Model) == consistency.SBFIFOWord {
 		return 64
 	}
 	if spec.Engine.MaxCheckpoints > 1 {

@@ -150,10 +150,10 @@ func (n *Node) requestPlan(block memtypes.Addr, why cpu.StallReason) headPlan {
 
 // RetireLoad implements cpu.Backend.
 func (n *Node) RetireLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) (bool, cpu.StallReason) {
-	p := n.classifyLoad(addr, fromL1)
+	p := n.classifyLoad(op, addr, fromL1)
 	if p.step == stepBegin {
 		n.engine.Begin()
-		p = n.classifyLoad(addr, fromL1)
+		p = n.classifyLoad(op, addr, fromL1)
 	}
 	return n.apply(p, addr)
 }
@@ -162,7 +162,7 @@ func (n *Node) RetireLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) (bool, cpu
 // extra machinery: in-order retirement plus load-queue snooping already
 // order a retired load before everything younger, which is exactly the
 // acquire edge RC requires.
-func (n *Node) classifyLoad(addr memtypes.Addr, fromL1 bool) headPlan {
+func (n *Node) classifyLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) headPlan {
 	if n.engine.Speculating() {
 		// Inside a speculation the load marks the speculatively-read bit at
 		// retirement (selective/ASO, §4.1; continuous marked at execution,
@@ -182,7 +182,7 @@ func (n *Node) classifyLoad(addr memtypes.Addr, fromL1 bool) headPlan {
 		}
 		return headPlan{line: line, markRead: true}
 	}
-	if consistency.RulesFor(n.cfg.Model).LoadNeedsDrain && !n.sbEmpty() {
+	if consistency.Orders(n.cfg.Model, consistency.Store, consistency.ClassOf(op)) && !n.sbEmpty() {
 		// SC: a load may not retire past outstanding stores -- unless
 		// InvisiFence speculates instead (§4.1).
 		return n.drainOrBegin(false)
@@ -213,23 +213,14 @@ func (n *Node) classifyStore(op isa.Op, addr memtypes.Addr) headPlan {
 	if n.engine.Speculating() {
 		return n.classifySpecStore(addr)
 	}
-	// Not speculating, coalescing buffer. Under SC/TSO an unordered buffer
-	// may not hold reordered stores: a store retiring with a non-empty
-	// buffer triggers speculation (Figure 4's "store/atomic reorderings"),
-	// or waits for the drain (the forward-progress grace window).
-	switch n.cfg.Model {
-	case consistency.SC, consistency.TSO:
-		if !n.sbEmpty() {
-			return n.drainOrBegin(false)
-		}
-	case consistency.RC:
-		// A releasing store may not become visible before any earlier
-		// store: drain first -- or speculate past the release (Invisi_rc's
-		// selective trigger, Louvre's version-epoch open). Plain stores
-		// coalesce freely.
-		if op.IsRelease() && !n.sbEmpty() {
-			return n.drainOrBegin(true)
-		}
+	// Not speculating, coalescing buffer. An unordered buffer may not hold
+	// stores the model orders before this one (every store under SC/TSO,
+	// a st.rel under RC): retiring with a non-empty buffer triggers
+	// speculation (Figure 4's "store/atomic reorderings", Invisi_rc's
+	// release trigger, Louvre's version-epoch open), or waits for the
+	// drain (the forward-progress grace window).
+	if consistency.Orders(n.cfg.Model, consistency.Store, consistency.ClassOf(op)) && !n.sbEmpty() {
+		return n.drainOrBegin(op.IsRelease())
 	}
 	// The baseline RMO path: store hits retire directly into the L1;
 	// misses coalesce in the store buffer. A store may only bypass the
@@ -327,7 +318,7 @@ func (n *Node) classifyAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.W
 	if n.engine.Speculating() {
 		return n.classifySpecAtomic(op, addr, opA, opB, opsOK)
 	}
-	if consistency.RulesFor(n.cfg.Model).AtomicNeedsDrain && !n.sbEmpty() {
+	if consistency.Orders(n.cfg.Model, consistency.Store, consistency.Atomic) && !n.sbEmpty() {
 		// SC/TSO (and RC, whose atomics are synchronization accesses):
 		// drain before the atomic -- or speculate (Figure 4).
 		return n.drainOrBegin(false)
@@ -338,9 +329,10 @@ func (n *Node) classifyAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.W
 		return n.requestPlan(block, cpu.StallOther) // data miss
 	}
 	if !line.State.Writable() {
-		// Ownership wait ("complete store", Figure 2). Under RMO and RC
-		// this is the Figure 4 atomic trigger.
-		if (n.cfg.Model == consistency.RMO || n.cfg.Model == consistency.RC) &&
+		// Ownership wait ("complete store", Figure 2). Where the
+		// conventional buffer is coalescing (RMO, RC) this is the Figure 4
+		// atomic trigger.
+		if consistency.ConventionalSB(n.cfg.Model) == consistency.SBCoalescingBlock &&
 			n.canTriggerSpeculation(false) {
 			return headPlan{step: stepBegin}
 		}

@@ -69,7 +69,7 @@ type Config struct {
 // FIFO store buffer (conventional SC/TSO) rather than the coalescing buffer.
 func (c *Config) UsesFIFOSB() bool {
 	return c.Engine.Mode == ifcore.ModeOff &&
-		consistency.RulesFor(c.Model).SB == consistency.SBFIFOWord
+		consistency.ConventionalSB(c.Model) == consistency.SBFIFOWord
 }
 
 type mshrEntry struct {
@@ -390,7 +390,7 @@ func (n *Node) headPlan(hs cpu.HeadState) headPlan {
 	case hs.Op == isa.Fence:
 		return n.classifyFence()
 	case hs.Op.IsLoad() && hs.AddrOK:
-		return n.classifyLoad(hs.Addr, true)
+		return n.classifyLoad(hs.Op, hs.Addr, true)
 	case hs.Op.IsStore() && hs.AddrOK:
 		return n.classifyStore(hs.Op, hs.Addr)
 	case hs.Op.IsAtomic() && hs.AddrOK:

@@ -325,7 +325,7 @@ func TestHintAuditGrid(t *testing.T) {
 	}
 	conventional := func(name string, m consistency.Model) variant {
 		sb := 64 // the word FIFO; block-coalescing models get 8 entries
-		if consistency.RulesFor(m).SB == consistency.SBCoalescingBlock {
+		if consistency.ConventionalSB(m) == consistency.SBCoalescingBlock {
 			sb = 8
 		}
 		return variant{name, m, offEngine(m), sb}

@@ -1,7 +1,7 @@
 // Package staticfence infers sufficient fence placements for litmus bodies
-// by static critical-cycle (Shasha–Snir delay-set) analysis, refined by a
-// per-model reorderable-pairs relation in the style of Alglave et al.'s
-// "Don't sit on the fence".
+// by static critical-cycle (Shasha–Snir delay-set) analysis, refined by
+// internal/consistency's per-model ordering relation in the style of
+// Alglave et al.'s "Don't sit on the fence".
 //
 // This is the static counterpart of internal/fencesearch's dynamic oracle:
 // instead of simulating candidate placements, it builds an event graph from
@@ -25,7 +25,8 @@
 //     program-order edges is relaxed by the model: if every po edge is
 //     enforced, the cycle's po∪com order is acyclic in every execution.
 //  3. A full fence between two accesses enforces their order under every
-//     model (consistency.Rules: FenceNeedsDrain plus in-order retirement).
+//     model (the consistency relation orders every class against a fence;
+//     the machine drains the store buffer at it, plus in-order retirement).
 //     Same-address pairs are always enforced (coherence; the CoRR test).
 //  4. Therefore fencing every relaxable po edge of every critical cycle
 //     leaves no cycle materializable: the outcome set is SC.
@@ -57,66 +58,14 @@ type Site struct {
 // String implements fmt.Stringer.
 func (s Site) String() string { return fmt.Sprintf("T%d@%d", s.Thread, s.PC) }
 
-// Class is the ordering class of a memory access.
-type Class uint8
-
-const (
-	// Load is a non-atomic plain read.
-	Load Class = iota
-	// Store is a non-atomic plain write.
-	Store
-	// Atomic is a read-modify-write; it behaves as both a read and a
-	// write for conflict and reordering purposes.
-	Atomic
-	// AcqLoad is a load-acquire (ld.acq): a read that, under RC, orders
-	// itself before every later access. Under every other model it is a
-	// plain load — the machine ignores the annotation.
-	AcqLoad
-	// RelStore is a store-release (st.rel): a write that, under RC,
-	// orders every earlier access before itself. Under every other model
-	// it is a plain store.
-	RelStore
-)
-
-// String implements fmt.Stringer.
-func (c Class) String() string {
-	switch c {
-	case Load:
-		return "ld"
-	case Store:
-		return "st"
-	case Atomic:
-		return "at"
-	case AcqLoad:
-		return "ld.acq"
-	case RelStore:
-		return "st.rel"
-	}
-	return fmt.Sprintf("Class(%d)", uint8(c))
-}
-
-// loadLike reports whether the class reads and does not write (plain or
-// acquire loads) — the "load" of the TSO store→load relaxation.
-func (c Class) loadLike() bool { return c == Load || c == AcqLoad }
-
-// storeLike reports whether the class writes and does not read (plain or
-// release stores).
-func (c Class) storeLike() bool { return c == Store || c == RelStore }
-
 // Event is one shared-memory access of the event graph.
 type Event struct {
 	Thread int
 	PC     int
-	Class  Class
+	Class  consistency.Class
 	Var    int // shared-variable index (offset / stride)
 	id     int // global enumeration index
 }
-
-// Reads reports whether the event observes memory.
-func (e Event) Reads() bool { return !e.Class.storeLike() }
-
-// Writes reports whether the event mutates memory.
-func (e Event) Writes() bool { return !e.Class.loadLike() }
 
 // String renders "T0@2:st(v1)".
 func (e Event) String() string {
@@ -178,7 +127,7 @@ func BuildGraph(name string, bodies []*isa.Program, lay Layout) (*Graph, error) 
 				if !ok {
 					return nil, fmt.Errorf("staticfence: %s T%d@%d shared access at off-stride offset %d", name, t, a.PC, a.Off)
 				}
-				e := Event{Thread: t, PC: a.PC, Class: classOf(a.Op), Var: v, id: len(g.events)}
+				e := Event{Thread: t, PC: a.PC, Class: consistency.ClassOf(a.Op), Var: v, id: len(g.events)}
 				g.Threads[t] = append(g.Threads[t], e)
 				g.events = append(g.events, e)
 			case lay.ResultBase:
@@ -201,27 +150,10 @@ func litmusVar(off, stride int64) (int, bool) {
 	return int(off / stride), true
 }
 
-func classOf(op isa.Op) Class {
-	switch {
-	// Annotations first: IsLoad/IsStore include the annotated ops.
-	case op.IsAcquire():
-		return AcqLoad
-	case op.IsRelease():
-		return RelStore
-	case op.IsLoad():
-		return Load
-	case op.IsStore():
-		return Store
-	case op.IsAtomic():
-		return Atomic
-	}
-	panic(fmt.Sprintf("staticfence: %v is not a memory access", op))
-}
-
 // conflict reports whether two events can communicate: different threads,
 // same variable, at least one writer.
 func conflict(a, b Event) bool {
-	return a.Thread != b.Thread && a.Var == b.Var && (a.Writes() || b.Writes())
+	return a.Thread != b.Thread && a.Var == b.Var && (a.Class.Writes() || b.Class.Writes())
 }
 
 // Cycle is one critical cycle: the event sequence in traversal order, where
@@ -395,44 +327,6 @@ func cycleSig(c Cycle) string {
 	return fmt.Sprint(ids)
 }
 
-// Reorderable is the per-model reorderable-pairs relation over distinct
-// addresses: may the model make the second access visible before the first?
-//
-//	sc:  nothing
-//	tso: st -> ld only (FIFO store buffer; atomics drain it); the
-//	     acquire/release annotations are ignored (plain ld/st)
-//	rmo: every pair (coalescing unordered buffer, no implicit atomic
-//	     order); annotations are ignored here too
-//	rc:  every pair except the acquire and release edges — an AcqLoad
-//	     orders itself before everything later, a RelStore orders
-//	     everything earlier before itself, and atomics are RCsc
-//	     synchronization accesses (both acquire and release ordering,
-//	     consistency.Rules drains the buffer around them)
-//
-// InvisiFence/ASO configs map to their *base* model: speculation must be
-// invisible, so the model's relation — not the mechanism's — is what the
-// static analysis may assume. Same-address pairs are never reorderable
-// (per-location coherence) and are excluded by the caller, not here.
-func Reorderable(m consistency.Model, from, to Class) bool {
-	switch m {
-	case consistency.SC:
-		return false
-	case consistency.TSO:
-		return from.storeLike() && to.loadLike()
-	case consistency.RMO:
-		return true
-	case consistency.RC:
-		if from == Atomic || to == Atomic {
-			return false
-		}
-		if from == AcqLoad || to == RelStore {
-			return false
-		}
-		return true
-	}
-	panic(fmt.Sprintf("staticfence: unknown model %v", m))
-}
-
 // Result is a full static analysis under one model.
 type Result struct {
 	Name  string
@@ -507,13 +401,14 @@ func Analyze(name string, bodies []*isa.Program, m consistency.Model, lay Layout
 }
 
 // relaxed reports whether a po edge can be inverted by the model: the pair
-// must be reorderable, on distinct variables, and not already separated by
-// a fence in the instruction stream.
+// must be on distinct variables, not ordered by the model's relation
+// (InvisiFence/ASO configs analyze under their base model), and not
+// already separated by a fence in the instruction stream.
 func (r *Result) relaxed(e POEdge) bool {
 	if e.From.Var == e.To.Var {
 		return false
 	}
-	if !Reorderable(r.Model, e.From.Class, e.To.Class) {
+	if consistency.Orders(r.Model, e.From.Class, e.To.Class) {
 		return false
 	}
 	return !isa.FenceBetween(r.Graph.Bodies[e.From.Thread], e.From.PC, e.To.PC)

@@ -244,7 +244,7 @@ func TestCycleShapes(t *testing.T) {
 		t.Fatalf("SB cycle shape: %d events, %d po edges (%v)", len(c.Events), len(c.PO), c)
 	}
 	for _, e := range c.PO {
-		if e.From.Class != Store || e.To.Class != Load {
+		if e.From.Class != consistency.Store || e.To.Class != consistency.Load {
 			t.Errorf("SB po edge %v: want st->ld", e)
 		}
 	}

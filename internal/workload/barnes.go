@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"invisifence/internal/consistency"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 )
@@ -22,7 +23,7 @@ func Barnes(p Params) *Workload {
 	bodiesPer := p.scale(24)
 	steps := 3
 
-	fp := p.Fences()
+	fp := consistency.SyncFences(p.Model)
 	l := newLayout()
 	// Cell block layout: +0 lock, +8 mass, +16 touches.
 	cells := l.alloc(nCells * memtypes.BlockBytes)

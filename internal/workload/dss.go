@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"invisifence/internal/consistency"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 )
@@ -22,7 +23,7 @@ func DSS(p Params) *Workload {
 	span := p.scale(2600) // rows scanned per thread
 	spill := 32           // spill a partial every N rows
 
-	fp := p.Fences()
+	fp := consistency.SyncFences(p.Model)
 	l := newLayout()
 	table := l.alloc(nRows * rowWords * memtypes.WordBytes)
 	resultLock := l.alloc(memtypes.BlockBytes)

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"invisifence/internal/consistency"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 )
@@ -19,7 +20,7 @@ func Ocean(p Params) *Workload {
 	sweeps := p.scale(4)
 
 	rows := p.Cores*rowsPer + 2 // +2 fixed border rows
-	fp := p.Fences()
+	fp := consistency.SyncFences(p.Model)
 	l := newLayout()
 	grid := l.alloc(rows * cols * memtypes.WordBytes)
 	barrier := l.alloc(memtypes.BlockBytes)

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"invisifence/internal/consistency"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 )
@@ -46,7 +47,7 @@ func OLTPDB2(p Params) *Workload {
 }
 
 func oltp(p Params, op oltpParams) *Workload {
-	fp := p.Fences()
+	fp := consistency.SyncFences(p.Model)
 	l := newLayout()
 	accounts := l.alloc(op.nAccounts * memtypes.BlockBytes) // one balance per block
 	locks := l.alloc(op.nLocks * memtypes.BlockBytes)

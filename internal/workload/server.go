@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 
+	"invisifence/internal/consistency"
 	"invisifence/internal/isa"
 	"invisifence/internal/memtypes"
 )
@@ -58,7 +59,7 @@ func Zeus(p Params) *Workload {
 }
 
 func server(p Params, sp serverParams) *Workload {
-	fp := p.Fences()
+	fp := consistency.SyncFences(p.Model)
 	l := newLayout()
 	qlocks := l.alloc(sp.nQueues * memtypes.BlockBytes)
 	qheads := l.alloc(sp.nQueues * memtypes.BlockBytes)

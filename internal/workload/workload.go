@@ -45,17 +45,6 @@ func (p Params) scale(n int) int {
 	return v
 }
 
-// Fences returns the fence policy the model requires of the sync library.
-func (p Params) Fences() isa.FencePolicy {
-	switch p.Model {
-	case consistency.RMO:
-		return isa.RMOFences
-	case consistency.RC:
-		return isa.RCFences
-	}
-	return isa.NoFences
-}
-
 // Workload is a generated multi-threaded program plus its memory image and
 // validation invariant.
 type Workload struct {

@@ -73,7 +73,7 @@ type Variant struct {
 // (8 entries).
 func ConventionalVariant(m Model) Variant {
 	cap := 64
-	if consistency.RulesFor(m).SB == consistency.SBCoalescingBlock {
+	if consistency.ConventionalSB(m) == consistency.SBCoalescingBlock {
 		cap = 8
 	}
 	return Variant{
