@@ -27,6 +27,7 @@ import (
 	"invisifence/internal/fencesearch"
 	"invisifence/internal/litmus"
 	"invisifence/internal/runcache"
+	"invisifence/internal/sim"
 )
 
 func main() {
@@ -50,8 +51,8 @@ func main() {
 			fmt.Printf("  %-6s target=%v\n", t.Name, t.Target)
 		}
 		fmt.Println("configs:")
-		for _, s := range litmus.AllConfigs() {
-			fmt.Printf("  %s\n", s.Name)
+		for _, name := range sim.ImplementationNames() {
+			fmt.Printf("  %s\n", name)
 		}
 		return
 	}

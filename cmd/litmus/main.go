@@ -26,7 +26,7 @@ func main() {
 	if *test != "" {
 		tests = []string{*test}
 	}
-	configs := invisifence.LitmusConfigs()
+	configs := invisifence.VariantNames()
 	if *config != "" {
 		configs = []string{*config}
 	}
@@ -40,7 +40,7 @@ func main() {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(2)
 			}
-			fmt.Printf("  %-16s forbidden=%d relaxed=%d outcomes:", cc, r.Forbidden, r.Relaxed)
+			fmt.Printf("  %-16s forbidden=%d relaxed=%d outcomes:", r.Config, r.Forbidden, r.Relaxed)
 			for _, o := range r.Outcomes {
 				fmt.Printf(" %vx%d", o.Values, o.Count)
 			}

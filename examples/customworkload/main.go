@@ -15,15 +15,9 @@ import (
 	"log"
 
 	"invisifence"
-	"invisifence/internal/cache"
 	"invisifence/internal/consistency"
-	ifcore "invisifence/internal/core"
-	"invisifence/internal/cpu"
 	"invisifence/internal/isa"
-	"invisifence/internal/memctrl"
 	"invisifence/internal/memtypes"
-	"invisifence/internal/network"
-	"invisifence/internal/node"
 	"invisifence/internal/sim"
 )
 
@@ -90,32 +84,21 @@ func buildStage(stage int, fp isa.FencePolicy) *isa.Program {
 	return b.MustBuild()
 }
 
-func runPipeline(model consistency.Model, eng ifcore.Config, name string) {
+func runPipeline(name string) {
+	v, err := invisifence.VariantByName(name)
+	if err != nil {
+		log.Fatal(err)
+	}
 	progs := make([]*isa.Program, stages)
 	for s := 0; s < stages; s++ {
-		progs[s] = buildStage(s, consistency.SyncFences(model))
+		progs[s] = buildStage(s, consistency.SyncFences(v.Model))
 	}
-	cfg := sim.Config{
-		Net: network.Config{Width: 2, Height: 2, HopLatency: 100, LocalLatency: 1},
-		Node: node.Config{
-			Model:  model,
-			Engine: eng,
-			Core:   cpu.DefaultConfig(),
-			L1:     cache.Config{SizeBytes: 64 << 10, Ways: 2, HitLatency: 2, Name: "L1"},
-			L2:     cache.Config{SizeBytes: 1 << 20, Ways: 8, HitLatency: 25, Name: "L2"},
-			Memory: memctrl.Config{AccessLatency: 160, Banks: 64, BankBusy: 8},
-			MSHRs:  32, SBCapacity: 8, StorePrefetchDepth: 8,
-			MsgsPerCycle: 8, SnoopLQ: true, FillHoldCycles: 8,
-		},
-		MaxCycles:      100_000_000,
-		WatchdogCycles: 2_000_000,
-	}
-	if !cfg.Node.UsesFIFOSB() && eng.MaxCheckpoints > 1 {
-		cfg.Node.SBCapacity = 32
-	}
-	if cfg.Node.UsesFIFOSB() {
-		cfg.Node.SBCapacity = 64
-	}
+	// The Figure 6 machine, shrunk to one node per stage.
+	m := invisifence.DefaultMachine()
+	m.Width, m.Height = 2, 2
+	cfg := m.Assemble(v, 0)
+	cfg.MaxCycles = 100_000_000
+	cfg.WatchdogCycles = 2_000_000
 	s := sim.New(cfg, progs, nil)
 	// Seed stage 0's inbox with the initial items.
 	r0 := ringAddr(0)
@@ -134,11 +117,10 @@ func runPipeline(model consistency.Model, eng ifcore.Config, name string) {
 	for i := 0; i < items; i++ {
 		want += memtypes.Word(i + stages)
 	}
-	status := "OK"
 	if got != want {
-		status = fmt.Sprintf("MISMATCH (want %d)", want)
+		log.Fatalf("%s: pipeline result %d, want %d", name, got, want)
 	}
-	fmt.Printf("%-12s cycles=%9d result=%5d %s\n", name, res.Cycles, got, status)
+	fmt.Printf("%-12s cycles=%9d result=%5d OK\n", name, res.Cycles, got)
 }
 
 func main() {
@@ -146,7 +128,6 @@ func main() {
 	// The SC configurations are omitted: a lock-polling pipeline under
 	// SC's retirement rules crawls — which is rather the paper's point
 	// about strong models and synchronization-heavy code.
-	runPipeline(consistency.RMO, ifcore.Config{Mode: ifcore.ModeOff, Model: consistency.RMO}, "rmo")
-	runPipeline(consistency.RMO, ifcore.DefaultSelective(consistency.RMO), "invisi-rmo")
-	_ = invisifence.Workloads() // the packaged workloads remain available too
+	runPipeline("rmo")
+	runPipeline("invisi-rmo")
 }

@@ -32,6 +32,7 @@ import (
 	"invisifence/internal/isa"
 	"invisifence/internal/litmus"
 	"invisifence/internal/runcache"
+	"invisifence/internal/sim"
 	"invisifence/internal/staticfence"
 	"invisifence/internal/sweep"
 )
@@ -557,30 +558,19 @@ func specEqual(a, b litmus.OutcomeSpec) bool {
 	return true
 }
 
-// resolveConfigs maps config names onto litmus specs, preserving order;
-// nil selects every implementation.
+// resolveConfigs maps implementation names onto litmus specs through the
+// catalogue, preserving order; nil selects every implementation.
 func resolveConfigs(names []string) ([]litmus.ConfigSpec, error) {
-	all := litmus.AllConfigs()
 	if len(names) == 0 {
-		return all, nil
+		return litmus.AllConfigs(), nil
 	}
-	specs := make([]litmus.ConfigSpec, 0, len(names))
-	for _, name := range names {
-		found := false
-		for _, spec := range all {
-			if spec.Name == name {
-				specs = append(specs, spec)
-				found = true
-				break
-			}
+	specs := make([]litmus.ConfigSpec, len(names))
+	for i, name := range names {
+		spec, err := sim.LookupImplementation(name)
+		if err != nil {
+			return nil, fmt.Errorf("fencesearch: %w", err)
 		}
-		if !found {
-			avail := make([]string, len(all))
-			for i, spec := range all {
-				avail[i] = spec.Name
-			}
-			return nil, fmt.Errorf("fencesearch: unknown config %q (have %s)", name, strings.Join(avail, ", "))
-		}
+		specs[i] = spec
 	}
 	return specs, nil
 }

@@ -13,12 +13,6 @@ type MemAccess struct {
 	Off  int64
 }
 
-// Reads reports whether the access observes memory (loads and atomics).
-func (a MemAccess) Reads() bool { return a.Op.IsLoad() || a.Op.IsAtomic() }
-
-// Writes reports whether the access mutates memory (stores and atomics).
-func (a MemAccess) Writes() bool { return a.Op.IsStore() || a.Op.IsAtomic() }
-
 // MemAccesses extracts every memory access of a program in program order.
 // The extraction is purely syntactic: an access's address is summarized as
 // (base register, immediate offset), which is exact for the litmus protocol

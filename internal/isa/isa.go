@@ -9,11 +9,7 @@
 // All memory accesses are 8-byte, word-aligned.
 package isa
 
-import (
-	"fmt"
-
-	"invisifence/internal/memtypes"
-)
+import "fmt"
 
 // Reg names one of the 32 general-purpose registers. R0 reads as zero and
 // ignores writes.
@@ -179,21 +175,6 @@ func (o Op) IsAtomic() bool { return o == Cas || o == Fadd || o == Swap }
 
 // IsMem reports whether the op touches memory.
 func (o Op) IsMem() bool { return o.IsLoad() || o.IsStore() || o.IsAtomic() }
-
-// AccessKind maps a memory/fence op onto the ordering taxonomy.
-func (o Op) AccessKind() memtypes.AccessKind {
-	switch {
-	case o.IsLoad():
-		return memtypes.AccessLoad
-	case o.IsStore():
-		return memtypes.AccessStore
-	case o.IsAtomic():
-		return memtypes.AccessAtomic
-	case o == Fence:
-		return memtypes.AccessFence
-	}
-	panic(fmt.Sprintf("isa: %v has no access kind", o))
-}
 
 // WritesRd reports whether the instruction produces a register result.
 func (o Op) WritesRd() bool {

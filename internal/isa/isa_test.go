@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"invisifence/internal/memtypes"
 )
 
 func TestBuilderLabelsAndBranches(t *testing.T) {
@@ -83,13 +81,6 @@ func TestOpClassifiers(t *testing.T) {
 	}
 	if !LdAcq.IsAcquire() || !StRel.IsRelease() || Ld.IsAcquire() || St.IsRelease() || Fence.IsAcquire() {
 		t.Fatal("acquire/release annotations wrong")
-	}
-}
-
-func TestAccessKinds(t *testing.T) {
-	if Ld.AccessKind() != memtypes.AccessLoad || St.AccessKind() != memtypes.AccessStore ||
-		Fadd.AccessKind() != memtypes.AccessAtomic || Fence.AccessKind() != memtypes.AccessFence {
-		t.Fatal("access kinds wrong")
 	}
 }
 

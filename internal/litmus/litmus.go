@@ -14,15 +14,10 @@ package litmus
 import (
 	"fmt"
 
-	"invisifence/internal/cache"
 	"invisifence/internal/consistency"
-	ifcore "invisifence/internal/core"
 	"invisifence/internal/cpu"
 	"invisifence/internal/isa"
-	"invisifence/internal/memctrl"
 	"invisifence/internal/memtypes"
-	"invisifence/internal/network"
-	"invisifence/internal/node"
 	"invisifence/internal/sim"
 )
 
@@ -586,35 +581,14 @@ var Tests = []Test{
 	},
 }
 
-// ConfigSpec names one consistency implementation under test.
-type ConfigSpec struct {
-	Name   string
-	Model  consistency.Model
-	Engine ifcore.Config
-}
+// ConfigSpec is one implementation under test: Name is its catalogue key
+// ("invisi-sc"), and the embedded Variant supplies the model, engine and
+// store-buffer capacity.
+type ConfigSpec = sim.Implementation
 
-// AllConfigs returns every implementation the suite validates.
-func AllConfigs() []ConfigSpec {
-	return []ConfigSpec{
-		{"sc", consistency.SC, ifcore.Config{Mode: ifcore.ModeOff, Model: consistency.SC}},
-		{"tso", consistency.TSO, ifcore.Config{Mode: ifcore.ModeOff, Model: consistency.TSO}},
-		{"rmo", consistency.RMO, ifcore.Config{Mode: ifcore.ModeOff, Model: consistency.RMO}},
-		{"invisi-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC)},
-		{"invisi-tso", consistency.TSO, ifcore.DefaultSelective(consistency.TSO)},
-		{"invisi-rmo", consistency.RMO, ifcore.DefaultSelective(consistency.RMO)},
-		{"invisi-sc-2ckpt", consistency.SC, func() ifcore.Config {
-			c := ifcore.DefaultSelective(consistency.SC)
-			c.MaxCheckpoints = 2
-			return c
-		}()},
-		{"continuous", consistency.SC, ifcore.DefaultContinuous(false)},
-		{"continuous-cov", consistency.SC, ifcore.DefaultContinuous(true)},
-		{"aso", consistency.SC, ifcore.DefaultASO()},
-		{"rc", consistency.RC, ifcore.Config{Mode: ifcore.ModeOff, Model: consistency.RC}},
-		{"invisi-rc", consistency.RC, ifcore.DefaultSelective(consistency.RC)},
-		{"louvre-rc", consistency.RC, ifcore.DefaultLouvre()},
-	}
-}
+// AllConfigs returns every implementation the suite validates: the whole
+// catalogue, in corpus order.
+func AllConfigs() []ConfigSpec { return sim.Implementations() }
 
 // Result summarizes a sweep of one test under one configuration.
 type Result struct {
@@ -716,6 +690,22 @@ func varsBase(seed int64) memtypes.Addr {
 	return varsAddr + memtypes.Addr((seed%4)*varStride)
 }
 
+// machine is the litmus system: a 2x2 torus with short hops and small
+// caches, so a handful of instructions per thread races through coherence
+// in a few hundred cycles. Its jitter bound (8) is the suite default that
+// Harness.Jitter overrides.
+var machine = sim.Machine{
+	Width: 2, Height: 2,
+	HopLatency: 12, LocalLatency: 1,
+	Jitter:  8,
+	L1Bytes: 8 << 10, L1Ways: 2, L1Latency: 2,
+	L2Bytes: 64 << 10, L2Ways: 8, L2Latency: 10,
+	MemLatency: 50, MemBanks: 8, BankBusy: 4,
+	MSHRs:              16,
+	StorePrefetchDepth: 4,
+	Core:               cpu.DefaultConfig(),
+}
+
 // RunSeed runs one seed: each thread gets a seed-dependent start-skew delay
 // plus the base-register prefix (R4 = rotated shared-variable base, R5 =
 // result base), the simulation runs to completion, and the outcome is read
@@ -749,32 +739,13 @@ func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
 		}
 		progs[i] = p
 	}
-	jitter := h.Jitter
-	if jitter == 0 {
-		jitter = 8
+	m := machine
+	if h.Jitter != 0 {
+		m.Jitter = h.Jitter
 	}
-	cfg := sim.Config{
-		Net: network.Config{
-			Width: 2, Height: 2,
-			HopLatency: 12, LocalLatency: 1,
-			Jitter: jitter, Seed: seed,
-		},
-		Node: node.Config{
-			Model:              spec.Model,
-			Engine:             spec.Engine,
-			Core:               cpu.DefaultConfig(),
-			L1:                 cache.Config{SizeBytes: 8 << 10, Ways: 2, HitLatency: 2, Name: "L1"},
-			L2:                 cache.Config{SizeBytes: 64 << 10, Ways: 8, HitLatency: 10, Name: "L2"},
-			Memory:             memctrl.Config{AccessLatency: 50, Banks: 8, BankBusy: 4},
-			MSHRs:              16,
-			SBCapacity:         sbCapacity(spec),
-			StorePrefetchDepth: 4,
-			SnoopLQ:            true,
-			FillHoldCycles:     8,
-		},
-		MaxCycles:      500_000,
-		WatchdogCycles: 100_000,
-	}
+	cfg := m.Assemble(spec.Variant, seed)
+	cfg.MaxCycles = 500_000
+	cfg.WatchdogCycles = 100_000
 	s := sim.New(cfg, progs, nil)
 	r := s.Run()
 	if !r.Finished {
@@ -788,15 +759,4 @@ func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
 		o[h.Slots+j] = s.ReadWord(vbase + memtypes.Addr(varOff(v)))
 	}
 	return o
-}
-
-func sbCapacity(spec ConfigSpec) int {
-	if spec.Engine.Mode == ifcore.ModeOff &&
-		consistency.ConventionalSB(spec.Model) == consistency.SBFIFOWord {
-		return 64
-	}
-	if spec.Engine.MaxCheckpoints > 1 {
-		return 32
-	}
-	return 8
 }

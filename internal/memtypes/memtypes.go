@@ -4,8 +4,6 @@
 // and word-aligned; cache and coherence state is kept at block granularity.
 package memtypes
 
-import "fmt"
-
 // Addr is a byte address in the simulated flat physical address space.
 type Addr uint64
 
@@ -54,32 +52,3 @@ func WordIndex(a Addr) int { return int(a>>WordShift) & (WordsPerBlock - 1) }
 
 // SameBlock reports whether two addresses fall in the same cache block.
 func SameBlock(a, b Addr) bool { return BlockAddr(a) == BlockAddr(b) }
-
-// AccessKind classifies a memory operation for ordering purposes.
-type AccessKind uint8
-
-const (
-	// AccessLoad is an ordinary load.
-	AccessLoad AccessKind = iota
-	// AccessStore is an ordinary store.
-	AccessStore
-	// AccessAtomic is an atomic read-modify-write (CAS, fetch-add, swap).
-	AccessAtomic
-	// AccessFence is an explicit memory ordering fence.
-	AccessFence
-)
-
-// String implements fmt.Stringer.
-func (k AccessKind) String() string {
-	switch k {
-	case AccessLoad:
-		return "load"
-	case AccessStore:
-		return "store"
-	case AccessAtomic:
-		return "atomic"
-	case AccessFence:
-		return "fence"
-	}
-	return fmt.Sprintf("AccessKind(%d)", uint8(k))
-}

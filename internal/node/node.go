@@ -459,16 +459,7 @@ func (n *Node) sbNextEvent() uint64 {
 // a full-stall head plan gets its k suppressed FullStalls.
 func (n *Node) SkipCycles(k uint64) {
 	if n.accounting {
-		var cl stats.CycleClass
-		switch n.core.HeadStall {
-		case cpu.StallSBFull:
-			cl = stats.SBFull
-		case cpu.StallSBDrain:
-			cl = stats.SBDrain
-		default:
-			cl = stats.Other
-		}
-		n.st.AccountN(cl, n.engine.YoungestEpoch(), k)
+		n.st.AccountN(stallClass(n.core.HeadStall), n.engine.YoungestEpoch(), k)
 	}
 	n.core.SkipCycles(k)
 	if hs := n.core.HeadState(); hs.Valid && hs.Ready {
@@ -487,20 +478,23 @@ func (n *Node) account() {
 		n.accounting = false
 		return
 	}
-	var cl stats.CycleClass
-	if n.core.RetiredThisCycle > 0 {
-		cl = stats.Busy
-	} else {
-		switch n.core.HeadStall {
-		case cpu.StallSBFull:
-			cl = stats.SBFull
-		case cpu.StallSBDrain:
-			cl = stats.SBDrain
-		default:
-			cl = stats.Other
-		}
+	cl := stats.Busy
+	if n.core.RetiredThisCycle == 0 {
+		cl = stallClass(n.core.HeadStall)
 	}
 	n.st.Account(cl, n.engine.YoungestEpoch())
+}
+
+// stallClass maps the reason the core's head did not retire onto the
+// Figure 9 cycle class it charges.
+func stallClass(why cpu.StallReason) stats.CycleClass {
+	switch why {
+	case cpu.StallSBFull:
+		return stats.SBFull
+	case cpu.StallSBDrain:
+		return stats.SBDrain
+	}
+	return stats.Other
 }
 
 // DebugString dumps miss/parking/cleaning state for diagnostics.

@@ -7,12 +7,10 @@ import (
 	"sync"
 	"testing"
 
-	"invisifence/internal/cache"
 	"invisifence/internal/consistency"
 	ifcore "invisifence/internal/core"
 	"invisifence/internal/cpu"
 	"invisifence/internal/isa"
-	"invisifence/internal/memctrl"
 	"invisifence/internal/network"
 	"invisifence/internal/node"
 	"invisifence/internal/workload"
@@ -295,7 +293,7 @@ func TestHintAuditApache(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s := New(figure6Config(c.model, ifcore.DefaultSelective(c.model), 8), wl.Programs, wl.RegInit)
+			s := New(figure6Config(SelectiveVariant(c.model)), wl.Programs, wl.RegInit)
 			for a, v := range wl.MemInit {
 				s.WriteWord(a, v)
 			}
@@ -317,24 +315,13 @@ func TestHintAuditGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("28 scale-0.25 runs, each twice")
 	}
-	type variant struct {
-		name  string
-		model consistency.Model
-		eng   ifcore.Config
-		sb    int
-	}
-	conventional := func(name string, m consistency.Model) variant {
-		sb := 64 // the word FIFO; block-coalescing models get 8 entries
-		if consistency.ConventionalSB(m) == consistency.SBCoalescingBlock {
-			sb = 8
+	var variants []Implementation
+	for _, name := range []string{"sc", "invisi-sc", "rc", "invisi-rc"} {
+		im, err := LookupImplementation(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return variant{name, m, offEngine(m), sb}
-	}
-	variants := []variant{
-		conventional("sc", consistency.SC),
-		{"invisi-sc", consistency.SC, ifcore.DefaultSelective(consistency.SC), 8},
-		conventional("rc", consistency.RC),
-		{"invisi-rc", consistency.RC, ifcore.DefaultSelective(consistency.RC), 8},
+		variants = append(variants, im)
 	}
 	var mu sync.Mutex
 	total := newAuditReport()
@@ -343,14 +330,14 @@ func TestHintAuditGrid(t *testing.T) {
 		for _, wname := range workload.Names() {
 			for _, v := range variants {
 				wname, v := wname, v
-				t.Run(wname+"/"+v.name, func(t *testing.T) {
+				t.Run(wname+"/"+v.Name, func(t *testing.T) {
 					t.Parallel()
-					wl, err := workload.Get(wname, workload.Params{Cores: 16, Model: v.model, Seed: 1, Scale: 0.25})
+					wl, err := workload.Get(wname, workload.Params{Cores: 16, Model: v.Model, Seed: 1, Scale: 0.25})
 					if err != nil {
 						t.Fatal(err)
 					}
 					build := func(lockstep bool) *System {
-						cfg := figure6Config(v.model, v.eng, v.sb)
+						cfg := figure6Config(v.Variant)
 						cfg.DisableIdleSkip = lockstep
 						s := New(cfg, wl.Programs, wl.RegInit)
 						for a, w := range wl.MemInit {
@@ -372,27 +359,11 @@ func TestHintAuditGrid(t *testing.T) {
 	})
 }
 
-// figure6Config is the Figure 6 machine as invisifence.DefaultMachine
-// configures it, for a variant with an sbCapacity-entry store buffer, run
-// lock-step.
-func figure6Config(model consistency.Model, eng ifcore.Config, sbCapacity int) Config {
-	return Config{
-		Net: network.Config{Width: 4, Height: 4, HopLatency: 100, LocalLatency: 1, Seed: 1},
-		Node: node.Config{
-			Model:              model,
-			Engine:             eng,
-			Core:               cpu.DefaultConfig(),
-			L1:                 cache.Config{SizeBytes: 64 << 10, Ways: 2, HitLatency: 2, Name: "L1"},
-			L2:                 cache.Config{SizeBytes: 1 << 20, Ways: 8, HitLatency: 25, Name: "L2"},
-			Memory:             memctrl.Config{AccessLatency: 160, Banks: 64, BankBusy: 8},
-			MSHRs:              32,
-			SBCapacity:         sbCapacity,
-			StorePrefetchDepth: 8,
-			MsgsPerCycle:       8,
-			SnoopLQ:            true,
-			FillHoldCycles:     8,
-		},
-		MaxCycles:       500_000_000,
-		DisableIdleSkip: true,
-	}
+// figure6Config is the Figure 6 machine (DefaultMachine) running v at
+// seed 1, lock-step.
+func figure6Config(v Variant) Config {
+	cfg := DefaultMachine().Assemble(v, 1)
+	cfg.MaxCycles = 500_000_000
+	cfg.DisableIdleSkip = true
+	return cfg
 }

@@ -30,14 +30,8 @@ package invisifence
 import (
 	"fmt"
 
-	"invisifence/internal/cache"
 	"invisifence/internal/consistency"
-	ifcore "invisifence/internal/core"
-	"invisifence/internal/cpu"
-	"invisifence/internal/memctrl"
 	"invisifence/internal/memtypes"
-	"invisifence/internal/network"
-	"invisifence/internal/node"
 	"invisifence/internal/sim"
 	"invisifence/internal/stats"
 	"invisifence/internal/workload"
@@ -55,145 +49,40 @@ const (
 )
 
 // Variant names one consistency implementation: a model plus a speculation
-// policy and its store buffer sizing.
-type Variant struct {
-	// Name is the label used in figures ("sc", "Invisi_rmo", ...).
-	Name string
-	// Model is the consistency model the implementation enforces.
-	Model Model
-	// Engine configures post-retirement speculation (Mode Off =
-	// conventional).
-	Engine ifcore.Config
-	// SBCapacity sizes the store buffer per Figure 6 (entries).
-	SBCapacity int
-}
+// policy and its store buffer sizing. The implementations the paper
+// evaluates are catalogued in internal/sim; VariantByName resolves them.
+type Variant = sim.Variant
 
 // ConventionalVariant returns the conventional implementation of a model:
 // word-FIFO store buffer for SC/TSO (64 entries), block-coalescing for RMO
-// (8 entries).
-func ConventionalVariant(m Model) Variant {
-	cap := 64
-	if consistency.ConventionalSB(m) == consistency.SBCoalescingBlock {
-		cap = 8
-	}
-	return Variant{
-		Name:       m.String(),
-		Model:      m,
-		Engine:     ifcore.Config{Mode: ifcore.ModeOff, Model: m},
-		SBCapacity: cap,
-	}
-}
+// and RC (8 entries).
+func ConventionalVariant(m Model) Variant { return sim.ConventionalVariant(m) }
 
 // SelectiveVariant returns INVISIFENCE-SELECTIVE for a model: a single
-// checkpoint and an 8-entry coalescing buffer (the paper's
-// highest-performing configuration).
-func SelectiveVariant(m Model) Variant {
-	return Variant{
-		Name:       "Invisi_" + m.String(),
-		Model:      m,
-		Engine:     ifcore.DefaultSelective(m),
-		SBCapacity: 8,
-	}
-}
+// checkpoint and an 8-entry coalescing buffer.
+func SelectiveVariant(m Model) Variant { return sim.SelectiveVariant(m) }
 
 // Selective2CkptVariant returns the two-checkpoint selective variant of
-// §6.4 (32-entry buffer per Figure 6).
-func Selective2CkptVariant(m Model) Variant {
-	eng := ifcore.DefaultSelective(m)
-	eng.MaxCheckpoints = 2
-	return Variant{
-		Name:       "Invisi_" + m.String() + "-2ckpt",
-		Model:      m,
-		Engine:     eng,
-		SBCapacity: 32,
-	}
-}
+// §6.4 (32-entry buffer).
+func Selective2CkptVariant(m Model) Variant { return sim.Selective2CkptVariant(m) }
 
 // ContinuousVariant returns INVISIFENCE-CONTINUOUS (§4.2), optionally with
-// the commit-on-violate policy (§3.2, 4000-cycle timeout).
-func ContinuousVariant(cov bool) Variant {
-	name := "Invisi_cont"
-	if cov {
-		name = "Invisi_cont_CoV"
-	}
-	return Variant{
-		Name:       name,
-		Model:      SC,
-		Engine:     ifcore.DefaultContinuous(cov),
-		SBCapacity: 32,
-	}
-}
+// the commit-on-violate policy.
+func ContinuousVariant(cov bool) Variant { return sim.ContinuousVariant(cov) }
 
 // ASOVariant returns the ASO-style baseline (§2.2/§6.4) enforcing SC.
-func ASOVariant() Variant {
-	return Variant{
-		Name:       "ASO_sc",
-		Model:      SC,
-		Engine:     ifcore.DefaultASO(),
-		SBCapacity: 32,
-	}
-}
+func ASOVariant() Variant { return sim.ASOVariant() }
 
 // LouvreVariant returns the Louvre-style versioned-ordering baseline over
-// release consistency: version epochs open only at release boundaries
-// (two in flight: current + draining, hence the 32-entry buffer), with
-// squash-on-version-conflict instead of general speculation.
-func LouvreVariant() Variant {
-	return Variant{
-		Name:       "Louvre_rc",
-		Model:      RC,
-		Engine:     ifcore.DefaultLouvre(),
-		SBCapacity: 32,
-	}
-}
+// release consistency.
+func LouvreVariant() Variant { return sim.LouvreVariant() }
 
-// MachineConfig is the Figure 6 system model. Capacities are scaled to the
-// proxy workloads' footprints (see DESIGN.md §1); latencies follow the
-// paper at 4 GHz.
-type MachineConfig struct {
-	Width, Height int
-	HopLatency    uint64 // cycles per torus hop (25 ns = 100)
-	LocalLatency  uint64
-	Jitter        uint64 // interleaving exploration (0 in experiments)
-	// LinkBandwidth enables the per-link contention model: cycles per flit
-	// on each torus injection link (messages queue at busy links, DESIGN.md
-	// §10). 0 — the calibrated Figure 6 default — keeps the latency-only
-	// torus, bit-exact with the pre-contention simulator; the omitempty tag
-	// keeps bandwidth-0 cache keys and golden results byte-stable.
-	LinkBandwidth uint64 `json:"LinkBandwidth,omitempty"`
-
-	L1Bytes, L1Ways int
-	L1Latency       uint64
-	L2Bytes, L2Ways int
-	L2Latency       uint64
-
-	MemLatency uint64
-	MemBanks   int
-	BankBusy   uint64
-
-	MSHRs              int
-	StorePrefetchDepth int
-	MsgsPerCycle       int
-
-	Core cpu.Config
-}
+// MachineConfig is the Figure 6 system model.
+type MachineConfig = sim.Machine
 
 // DefaultMachine returns the Figure 6 configuration (L2 scaled from 8 MB
 // to 1 MB per node to match the proxy working sets).
-func DefaultMachine() MachineConfig {
-	return MachineConfig{
-		Width: 4, Height: 4,
-		HopLatency:   100,
-		LocalLatency: 1,
-		L1Bytes:      64 << 10, L1Ways: 2, L1Latency: 2,
-		L2Bytes: 1 << 20, L2Ways: 8, L2Latency: 25,
-		MemLatency: 160, MemBanks: 64, BankBusy: 8,
-		MSHRs:              32,
-		StorePrefetchDepth: 8,
-		MsgsPerCycle:       8,
-		Core:               cpu.DefaultConfig(),
-	}
-}
+func DefaultMachine() MachineConfig { return sim.DefaultMachine() }
 
 // Config is one simulation run.
 type Config struct {
@@ -286,32 +175,11 @@ func RunBounded(cfg Config, backstop uint64) (Result, error) {
 	if backstop != 0 && backstop < maxCycles {
 		maxCycles = backstop
 	}
-	scfg := sim.Config{
-		Net: network.Config{
-			Width: cfg.Machine.Width, Height: cfg.Machine.Height,
-			HopLatency: cfg.Machine.HopLatency, LocalLatency: cfg.Machine.LocalLatency,
-			Jitter: cfg.Machine.Jitter, Seed: cfg.Seed,
-			LinkBandwidth: cfg.Machine.LinkBandwidth,
-		},
-		Node: node.Config{
-			Model:              cfg.Variant.Model,
-			Engine:             cfg.Variant.Engine,
-			Core:               cfg.Machine.Core,
-			L1:                 cache.Config{SizeBytes: cfg.Machine.L1Bytes, Ways: cfg.Machine.L1Ways, HitLatency: cfg.Machine.L1Latency, Name: "L1"},
-			L2:                 cache.Config{SizeBytes: cfg.Machine.L2Bytes, Ways: cfg.Machine.L2Ways, HitLatency: cfg.Machine.L2Latency, Name: "L2"},
-			Memory:             memctrl.Config{AccessLatency: cfg.Machine.MemLatency, Banks: cfg.Machine.MemBanks, BankBusy: cfg.Machine.BankBusy},
-			MSHRs:              cfg.Machine.MSHRs,
-			SBCapacity:         cfg.Variant.SBCapacity,
-			StorePrefetchDepth: cfg.Machine.StorePrefetchDepth,
-			MsgsPerCycle:       cfg.Machine.MsgsPerCycle,
-			SnoopLQ:            true,
-			FillHoldCycles:     8,
-		},
-		MaxCycles:       maxCycles,
-		WatchdogCycles:  2_000_000,
-		DisableIdleSkip: cfg.DisableIdleSkip,
-		Clusters:        cfg.Clusters,
-	}
+	scfg := cfg.Machine.Assemble(cfg.Variant, cfg.Seed)
+	scfg.MaxCycles = maxCycles
+	scfg.WatchdogCycles = 2_000_000
+	scfg.DisableIdleSkip = cfg.DisableIdleSkip
+	scfg.Clusters = cfg.Clusters
 	s := sim.New(scfg, wl.Programs, wl.RegInit)
 	for a, v := range wl.MemInit {
 		s.WriteWord(a, v)

@@ -263,7 +263,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestLitmusWrapper(t *testing.T) {
-	if len(LitmusTests()) < 5 || len(LitmusConfigs()) < 8 {
+	if len(LitmusTests()) < 5 || len(VariantNames()) < 8 {
 		t.Fatal("litmus registry too small")
 	}
 	r, err := RunLitmus("SB", "invisi-sc", 6)

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"invisifence/internal/litmus"
+	"invisifence/internal/sim"
 )
 
 // LitmusOutcome is one observed litmus-test outcome with its frequency.
@@ -33,18 +34,9 @@ func LitmusTests() []string {
 	return names
 }
 
-// LitmusConfigs lists the implementations the litmus harness can drive.
-func LitmusConfigs() []string {
-	specs := litmus.AllConfigs()
-	names := make([]string, len(specs))
-	for i, s := range specs {
-		names[i] = s.Name
-	}
-	return names
-}
-
-// RunLitmus sweeps one litmus test under one implementation across seeds,
-// reporting outcome frequencies and any forbidden observations.
+// RunLitmus sweeps one litmus test under one implementation (a
+// VariantNames name) across seeds, reporting outcome frequencies and any
+// forbidden observations.
 func RunLitmus(test, config string, seeds int) (LitmusResult, error) {
 	var tt *litmus.Test
 	for i := range litmus.Tests {
@@ -56,17 +48,11 @@ func RunLitmus(test, config string, seeds int) (LitmusResult, error) {
 	if tt == nil {
 		return LitmusResult{}, fmt.Errorf("invisifence: unknown litmus test %q (have %v)", test, LitmusTests())
 	}
-	var spec *litmus.ConfigSpec
-	for _, s := range litmus.AllConfigs() {
-		if s.Name == config {
-			spec = &s // per-iteration variable (go >= 1.22): safe to retain
-			break
-		}
+	spec, err := sim.LookupImplementation(config)
+	if err != nil {
+		return LitmusResult{}, fmt.Errorf("invisifence: litmus: %w", err)
 	}
-	if spec == nil {
-		return LitmusResult{}, fmt.Errorf("invisifence: unknown litmus config %q (have %v)", config, LitmusConfigs())
-	}
-	r := litmus.Run(*tt, *spec, seeds)
+	r := litmus.Run(*tt, spec, seeds)
 	out := LitmusResult{
 		Test:      r.Test,
 		Config:    r.Config,

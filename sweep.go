@@ -3,57 +3,23 @@ package invisifence
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	ifcore "invisifence/internal/core"
 	"invisifence/internal/runcache"
+	"invisifence/internal/sim"
 	"invisifence/internal/sweep"
 )
 
 // VariantNames lists the CLI/spec names accepted by VariantByName, in
-// canonical order.
-func VariantNames() []string {
-	return []string{
-		"sc", "tso", "rmo", "rc",
-		"invisi-sc", "invisi-tso", "invisi-rmo", "invisi-rc", "invisi-sc-2ckpt",
-		"continuous", "continuous-cov", "aso", "louvre-rc",
-	}
-}
+// corpus order (the implementation catalogue's order, RC family last).
+func VariantNames() []string { return sim.ImplementationNames() }
 
 // VariantByName resolves a spec/CLI name ("sc", "invisi-tso",
 // "continuous-cov", ...) to its Variant. Names are case-insensitive.
 func VariantByName(name string) (Variant, error) {
-	switch strings.ToLower(name) {
-	case "sc":
-		return ConventionalVariant(SC), nil
-	case "tso":
-		return ConventionalVariant(TSO), nil
-	case "rmo":
-		return ConventionalVariant(RMO), nil
-	case "rc":
-		return ConventionalVariant(RC), nil
-	case "invisi-sc":
-		return SelectiveVariant(SC), nil
-	case "invisi-tso":
-		return SelectiveVariant(TSO), nil
-	case "invisi-rmo":
-		return SelectiveVariant(RMO), nil
-	case "invisi-rc":
-		return SelectiveVariant(RC), nil
-	case "invisi-sc-2ckpt":
-		return Selective2CkptVariant(SC), nil
-	case "continuous":
-		return ContinuousVariant(false), nil
-	case "continuous-cov":
-		return ContinuousVariant(true), nil
-	case "aso":
-		return ASOVariant(), nil
-	case "louvre-rc":
-		return LouvreVariant(), nil
-	}
-	return Variant{}, fmt.Errorf("unknown variant %q (want one of %s)",
-		name, strings.Join(VariantNames(), ", "))
+	im, err := sim.LookupImplementation(name)
+	return im.Variant, err
 }
 
 // TorusFor factors a node count into the squarest W x H torus (4 -> 2x2,
