@@ -1,8 +1,9 @@
 // Command benchdiff compares two BENCH_<n>.json files produced by
 // cmd/bench and fails (exit 1) when any grid cell's cycles/s regresses by
-// more than a threshold — or when its allocations per run grow by more than
-// the allocation threshold, so the allocation-free message path cannot
-// silently regress behind a wall-clock-neutral change. CI uses it to diff
+// more than a threshold — or when its allocations or allocated bytes per
+// run grow by more than the allocation threshold, so neither the
+// allocation-free message path nor the run-sized construction can silently
+// regress behind a wall-clock-neutral change. CI uses it to diff
 // the fresh quick-bench artifact against the previous run's artifact, so a
 // PR that slows the simulator core down trips the gate with a per-cell
 // table rather than a vague timeout.
@@ -18,13 +19,14 @@
 //
 //	benchdiff old.json new.json
 //	benchdiff -threshold 0.15 bench-prev/ bench-new/   # dirs: highest BENCH_<n>.json inside
-//	benchdiff -alloc-threshold 0.5 old.json new.json   # tolerate +50% allocs/run
+//	benchdiff -alloc-threshold 0.5 old.json new.json   # tolerate +50% allocs and bytes/run
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -45,6 +47,7 @@ type cell struct {
 	LinkBandwidth    uint64  `json:"link_bandwidth"`
 	CyclesPerSec     float64 `json:"cycles_per_sec"`
 	AllocsPerRun     uint64  `json:"allocs_per_run"`
+	BytesPerRun      uint64  `json:"bytes_per_run"`
 	QueueDelayPerMsg float64 `json:"queue_delay_per_msg"`
 }
 
@@ -129,7 +132,7 @@ func qdelayCol(o, n cell, haveOld bool) string {
 
 func main() {
 	threshold := flag.Float64("threshold", 0.10, "maximum tolerated cycles/s regression per cell (0.10 = 10%)")
-	allocThreshold := flag.Float64("alloc-threshold", 0.25, "maximum tolerated allocs/run growth per cell (0.25 = 25%)")
+	allocThreshold := flag.Float64("alloc-threshold", 0.25, "maximum tolerated allocs/run and bytes/run growth per cell (0.25 = 25%)")
 	flag.Parse()
 	if flag.NArg() != 2 {
 		fmt.Fprintln(os.Stderr, "usage: benchdiff [-threshold f] [-alloc-threshold f] OLD NEW (files or directories)")
@@ -159,6 +162,30 @@ func main() {
 			oldF.Clusters, newF.Clusters)
 		return
 	}
+	fmt.Printf("benchdiff: %s -> %s (cycles/s threshold %.0f%%, allocs and bytes threshold %.0f%%)\n",
+		oldPath, newPath, *threshold*100, *allocThreshold*100)
+	if regressed := diff(os.Stdout, oldF, newF, *threshold, *allocThreshold); regressed > 0 {
+		fmt.Fprintf(os.Stderr, "benchdiff: %d cell(s) regressed beyond the thresholds (cycles/s %.0f%%, allocs and bytes %.0f%%)\n",
+			regressed, *threshold*100, *allocThreshold*100)
+		os.Exit(1)
+	}
+	fmt.Println("benchdiff: no regression beyond thresholds")
+}
+
+// growth is new/old - 1, or 0 when old is 0 (a file without the column
+// never fails the gate).
+func growth(old, new uint64) float64 {
+	if old == 0 {
+		return 0
+	}
+	return float64(new)/float64(old) - 1
+}
+
+// diff writes one line per cell of newF, compared with its match in oldF,
+// and returns the number of cells whose cycles/s fell by more than
+// threshold or whose allocs/run or bytes/run grew by more than
+// allocThreshold.
+func diff(w io.Writer, oldF, newF benchFile, threshold, allocThreshold float64) int {
 	old := map[string]cell{}
 	for _, c := range oldF.Runs {
 		old[key(c)] = c
@@ -171,45 +198,39 @@ func main() {
 	}
 	sort.Strings(keys)
 
-	fmt.Printf("benchdiff: %s -> %s (cycles/s threshold %.0f%%, allocs threshold %.0f%%)\n",
-		oldPath, newPath, *threshold*100, *allocThreshold*100)
 	regressed := 0
 	for _, k := range keys {
 		n := cur[k]
 		o, ok := old[k]
 		if !ok || o.CyclesPerSec <= 0 {
-			fmt.Printf("  %-36s %12.0f cycles/s  %9d allocs%s  (new cell)\n",
-				k, n.CyclesPerSec, n.AllocsPerRun, qdelayCol(o, n, false))
+			fmt.Fprintf(w, "  %-36s %12.0f cycles/s  %9d allocs  %11d bytes%s  (new cell)\n",
+				k, n.CyclesPerSec, n.AllocsPerRun, n.BytesPerRun, qdelayCol(o, n, false))
 			continue
 		}
 		ratio := n.CyclesPerSec/o.CyclesPerSec - 1
 		mark := ""
-		if ratio < -*threshold {
+		if ratio < -threshold {
 			mark = "  << REGRESSION"
 		}
-		// Allocation gate: a v1 artifact without alloc data (0) never fails.
-		allocDelta := 0.0
-		if o.AllocsPerRun > 0 {
-			allocDelta = float64(n.AllocsPerRun)/float64(o.AllocsPerRun) - 1
-			if allocDelta > *allocThreshold {
-				mark += "  << ALLOC REGRESSION"
-			}
+		// Allocation gates: a v1 artifact without alloc data (0) never fails.
+		allocDelta, bytesDelta := growth(o.AllocsPerRun, n.AllocsPerRun), growth(o.BytesPerRun, n.BytesPerRun)
+		if allocDelta > allocThreshold {
+			mark += "  << ALLOC REGRESSION"
+		}
+		if bytesDelta > allocThreshold {
+			mark += "  << BYTES REGRESSION"
 		}
 		if mark != "" {
 			regressed++
 		}
-		fmt.Printf("  %-36s %12.0f -> %12.0f cycles/s  %+6.1f%%  %9d -> %9d allocs  %+6.1f%%%s%s\n",
-			k, o.CyclesPerSec, n.CyclesPerSec, ratio*100, o.AllocsPerRun, n.AllocsPerRun, allocDelta*100, qdelayCol(o, n, true), mark)
+		fmt.Fprintf(w, "  %-36s %12.0f -> %12.0f cycles/s  %+6.1f%%  %9d -> %9d allocs  %+6.1f%%  %11d -> %11d bytes  %+6.1f%%%s%s\n",
+			k, o.CyclesPerSec, n.CyclesPerSec, ratio*100, o.AllocsPerRun, n.AllocsPerRun, allocDelta*100,
+			o.BytesPerRun, n.BytesPerRun, bytesDelta*100, qdelayCol(o, n, true), mark)
 	}
 	for k := range old {
 		if _, ok := cur[k]; !ok {
-			fmt.Printf("  %-36s dropped from grid\n", k)
+			fmt.Fprintf(w, "  %-36s dropped from grid\n", k)
 		}
 	}
-	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d cell(s) regressed beyond the thresholds (cycles/s %.0f%%, allocs %.0f%%)\n",
-			regressed, *threshold*100, *allocThreshold*100)
-		os.Exit(1)
-	}
-	fmt.Println("benchdiff: no regression beyond thresholds")
+	return regressed
 }

@@ -8,6 +8,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"invisifence/internal/memtypes"
 )
@@ -52,60 +53,45 @@ func (s LineState) Valid() bool { return s != Invalid }
 // periodic checkpointing (§2.2) uses up to four.
 const MaxEpochs = 4
 
-// Line is one cache line. Speculative bits index by checkpoint epoch.
+// Line is one cache line, 88 bytes. Its speculative bits are two epoch
+// bitmasks: bit e of specRead (specWritten) is epoch e's speculatively-read
+// (-written) bit.
 type Line struct {
 	Addr        memtypes.Addr // block-aligned; meaningful only when valid
 	State       LineState
+	specRead    uint8
+	specWritten uint8
 	Data        memtypes.BlockData
-	SpecRead    [MaxEpochs]bool
-	SpecWritten [MaxEpochs]bool
 	lru         uint64
 }
 
+// SpecRead reports the epoch's speculatively-read bit.
+func (l *Line) SpecRead(epoch int) bool { return l.specRead&(1<<epoch) != 0 }
+
+// SpecWritten reports the epoch's speculatively-written bit.
+func (l *Line) SpecWritten(epoch int) bool { return l.specWritten&(1<<epoch) != 0 }
+
 // SpecAny reports whether any speculative bit is set on the line.
-func (l *Line) SpecAny() bool {
-	for e := 0; e < MaxEpochs; e++ {
-		if l.SpecRead[e] || l.SpecWritten[e] {
-			return true
-		}
-	}
-	return false
-}
+func (l *Line) SpecAny() bool { return l.specRead|l.specWritten != 0 }
 
 // SpecWrittenAny reports whether any epoch's written bit is set.
-func (l *Line) SpecWrittenAny() bool {
-	for e := 0; e < MaxEpochs; e++ {
-		if l.SpecWritten[e] {
-			return true
-		}
-	}
-	return false
-}
+func (l *Line) SpecWrittenAny() bool { return l.specWritten != 0 }
 
 // SpecReadAny reports whether any epoch's read bit is set.
-func (l *Line) SpecReadAny() bool {
-	for e := 0; e < MaxEpochs; e++ {
-		if l.SpecRead[e] {
-			return true
-		}
-	}
-	return false
-}
+func (l *Line) SpecReadAny() bool { return l.specRead != 0 }
 
 // OldestSpecEpoch returns the lowest epoch index with a bit set on the line,
 // or -1 if none. The caller maps epoch indexes to checkpoint age.
 func (l *Line) OldestSpecEpoch() int {
-	for e := 0; e < MaxEpochs; e++ {
-		if l.SpecRead[e] || l.SpecWritten[e] {
-			return e
-		}
+	if m := l.specRead | l.specWritten; m != 0 {
+		return bits.TrailingZeros8(m)
 	}
 	return -1
 }
 
 func (l *Line) clearSpec(epoch int) {
-	l.SpecRead[epoch] = false
-	l.SpecWritten[epoch] = false
+	l.specRead &^= 1 << epoch
+	l.specWritten &^= 1 << epoch
 }
 
 // Config describes one cache's geometry and timing.
@@ -284,8 +270,7 @@ func (c *Cache) Invalidate(a memtypes.Addr) (Line, bool) {
 	}
 	old := *l
 	l.State = Invalid
-	l.SpecRead = [MaxEpochs]bool{}
-	l.SpecWritten = [MaxEpochs]bool{}
+	l.specRead, l.specWritten = 0, 0
 	c.Evictions++
 	return old, true
 }
@@ -293,22 +278,22 @@ func (c *Cache) Invalidate(a memtypes.Addr) (Line, bool) {
 // MarkSpecRead sets the epoch's speculatively-read bit on a line obtained
 // from this cache, registering the line for O(touched) flash operations.
 func (c *Cache) MarkSpecRead(l *Line, epoch int) {
-	if !l.SpecRead[epoch] {
-		if !l.SpecWritten[epoch] {
+	if !l.SpecRead(epoch) {
+		if !l.SpecWritten(epoch) {
 			c.touched[epoch] = append(c.touched[epoch], l)
 		}
-		l.SpecRead[epoch] = true
+		l.specRead |= 1 << epoch
 	}
 }
 
 // MarkSpecWritten sets the epoch's speculatively-written bit on a line
 // obtained from this cache, registering the line for flash operations.
 func (c *Cache) MarkSpecWritten(l *Line, epoch int) {
-	if !l.SpecWritten[epoch] {
-		if !l.SpecRead[epoch] {
+	if !l.SpecWritten(epoch) {
+		if !l.SpecRead(epoch) {
 			c.touched[epoch] = append(c.touched[epoch], l)
 		}
-		l.SpecWritten[epoch] = true
+		l.specWritten |= 1 << epoch
 	}
 }
 
@@ -333,7 +318,7 @@ func (c *Cache) FlashClearSpec(epoch int) {
 func (c *Cache) ConditionalInvalidate(epoch int) int {
 	n := 0
 	for _, l := range c.touched[epoch] {
-		if l.SpecWritten[epoch] && l.State.Valid() {
+		if l.SpecWritten(epoch) && l.State.Valid() {
 			l.State = Invalid
 			n++
 		}
@@ -350,7 +335,7 @@ func (c *Cache) SpecLineCount(epoch int) int {
 	n := 0
 	for _, set := range c.sets {
 		for i := range set {
-			if set[i].SpecRead[epoch] || set[i].SpecWritten[epoch] {
+			if set[i].SpecRead(epoch) || set[i].SpecWritten(epoch) {
 				n++
 			}
 		}

@@ -1,9 +1,11 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"invisifence/internal/memtypes"
 )
@@ -137,7 +139,7 @@ func TestConditionalInvalidate(t *testing.T) {
 	if c.Peek(aW) != nil {
 		t.Fatal("speculatively-written line survived abort")
 	}
-	if l := c.Peek(aR); l == nil || l.SpecRead[0] {
+	if l := c.Peek(aR); l == nil || l.SpecRead(0) {
 		t.Fatal("speculatively-read line must survive with bits cleared")
 	}
 	if c.Peek(aN) == nil {
@@ -234,5 +236,64 @@ func TestLineStateHelpers(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLineSize pins the cache line at 88 bytes, with the speculative bits
+// in two epoch bitmasks: a set is allocated whole, and a litmus L2 set of
+// 8 ways is 704 bytes (the 704-byte size class), an L1 set of 2 ways 176.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(Line{}); n > 88 {
+		t.Fatalf("Line is %d bytes, want <= 88", n)
+	}
+}
+
+// TestSpecMasksMatchBoolArrays checks the bitmask spec bits against a
+// [MaxEpochs]bool reference over every pair of read and written masks: the
+// per-epoch bits, the any-bit tests, OldestSpecEpoch, and each epoch's
+// flash-clear.
+func TestSpecMasksMatchBoolArrays(t *testing.T) {
+	type ref struct{ read, written [MaxEpochs]bool }
+	oldest := func(r ref) int {
+		for e := 0; e < MaxEpochs; e++ {
+			if r.read[e] || r.written[e] {
+				return e
+			}
+		}
+		return -1
+	}
+	check := func(l *Line, r ref, what string) {
+		t.Helper()
+		anyR, anyW := false, false
+		for e := 0; e < MaxEpochs; e++ {
+			if l.SpecRead(e) != r.read[e] || l.SpecWritten(e) != r.written[e] {
+				t.Fatalf("%s: epoch %d read/written %v/%v, want %v/%v", what, e, l.SpecRead(e), l.SpecWritten(e), r.read[e], r.written[e])
+			}
+			anyR, anyW = anyR || r.read[e], anyW || r.written[e]
+		}
+		if l.SpecReadAny() != anyR || l.SpecWrittenAny() != anyW || l.SpecAny() != (anyR || anyW) {
+			t.Fatalf("%s: any read/written/spec %v/%v/%v, want %v/%v/%v", what,
+				l.SpecReadAny(), l.SpecWrittenAny(), l.SpecAny(), anyR, anyW, anyR || anyW)
+		}
+		if got, want := l.OldestSpecEpoch(), oldest(r); got != want {
+			t.Fatalf("%s: oldest epoch %d, want %d", what, got, want)
+		}
+	}
+	const all = 1<<MaxEpochs - 1
+	for rm := 0; rm <= all; rm++ {
+		for wm := 0; wm <= all; wm++ {
+			var r ref
+			for e := 0; e < MaxEpochs; e++ {
+				r.read[e], r.written[e] = rm&(1<<e) != 0, wm&(1<<e) != 0
+			}
+			l := Line{specRead: uint8(rm), specWritten: uint8(wm)}
+			check(&l, r, fmt.Sprintf("masks %04b/%04b", rm, wm))
+			for e := 0; e < MaxEpochs; e++ {
+				cl, cr := l, r
+				cl.clearSpec(e)
+				cr.read[e], cr.written[e] = false, false
+				check(&cl, cr, fmt.Sprintf("masks %04b/%04b cleared epoch %d", rm, wm, e))
+			}
+		}
 	}
 }

@@ -21,11 +21,11 @@ func (p *countPort) Send(src, dst memtypes.NodeID, m Msg) { p.sent++ }
 // coherence state, which releases the pooled entry.
 func churnRound(d *Directory, now *uint64, block memtypes.Addr) {
 	*now++
-	d.Handle(*now, 1, Msg{Kind: GetS, Addr: block})
+	d.Handle(*now, 1, &Msg{Kind: GetS, Addr: block})
 	*now += 4 // past the 1-cycle memory access
 	d.Tick(*now)
 	*now++
-	d.Handle(*now, 1, Msg{Kind: PutX, Addr: block, Dirty: true, HasData: true})
+	d.Handle(*now, 1, &Msg{Kind: PutX, Addr: block, Dirty: true, HasData: true})
 	*now++
 	d.Tick(*now)
 }
@@ -46,8 +46,8 @@ func TestDirectoryChurnAllocFree(t *testing.T) {
 	// queued behind the in-flight GetS; the queue drains without needing a
 	// cache controller on the other end).
 	now++
-	d.Handle(now, 1, Msg{Kind: GetS, Addr: block})
-	d.Handle(now, 1, Msg{Kind: PutX, Addr: block, Dirty: true, HasData: true}) // queues
+	d.Handle(now, 1, &Msg{Kind: GetS, Addr: block})
+	d.Handle(now, 1, &Msg{Kind: PutX, Addr: block, Dirty: true, HasData: true}) // queues
 	mid := d.DebugString()
 	if mid == "" {
 		t.Fatal("expected in-flight transaction state in DebugString")
@@ -87,8 +87,8 @@ func TestDirectoryChurnAllocFree(t *testing.T) {
 	// exactly: kick off the same GetS-plus-queued-PutX and compare against
 	// the warm-up's mid-flight dump (same block, requestor, phase, queue).
 	now++
-	d.Handle(now, 1, Msg{Kind: GetS, Addr: block})
-	d.Handle(now, 1, Msg{Kind: PutX, Addr: block, Dirty: true, HasData: true})
+	d.Handle(now, 1, &Msg{Kind: GetS, Addr: block})
+	d.Handle(now, 1, &Msg{Kind: PutX, Addr: block, Dirty: true, HasData: true})
 	// memReady is an absolute cycle and legitimately differs; everything
 	// else must be byte-identical.
 	noTime := regexp.MustCompile(`memReady=\d+`)

@@ -117,17 +117,17 @@ func (h *harness) step() {
 	h.now++
 	h.net.Tick(h.now)
 	for {
-		m, ok := h.net.Recv(0)
-		if !ok {
+		m := h.net.Recv(0)
+		if m == nil {
 			break
 		}
-		h.dir.Handle(h.now, m.Src, m.Payload)
+		h.dir.Handle(h.now, m.Src, &m.Payload)
 	}
 	h.dir.Tick(h.now)
 	for id, a := range h.agents {
 		for {
-			m, ok := h.net.Recv(id)
-			if !ok {
+			m := h.net.Recv(id)
+			if m == nil {
 				break
 			}
 			a.handle(m.Src, m.Payload)

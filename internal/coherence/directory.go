@@ -272,22 +272,24 @@ func (d *Directory) send(dst memtypes.NodeID, m Msg) {
 	d.port.Send(d.id, dst, m)
 }
 
-// Handle processes one protocol request arriving at this directory.
-func (d *Directory) Handle(now uint64, src memtypes.NodeID, m Msg) {
+// Handle processes one protocol request arriving at this directory. m is
+// read during the call only; a request that has to wait is copied into
+// its entry's queue.
+func (d *Directory) Handle(now uint64, src memtypes.NodeID, m *Msg) {
 	d.now = now
 	if TraceOn() {
-		Trace(now, fmt.Sprintf("dir%d<-%d", d.id, src), m, d.StateOf(m.Addr))
+		Trace(now, fmt.Sprintf("dir%d<-%d", d.id, src), *m, d.StateOf(m.Addr))
 	}
 	a := m.Addr
 	e := d.entryFor(a)
 	switch m.Kind {
 	case GetS, GetX, Upgrade:
 		if e.cur != nil {
-			e.waitq = append(e.waitq, queuedReq{src, m})
+			e.waitq = append(e.waitq, queuedReq{src, *m})
 			d.Queued++
 			return
 		}
-		d.start(a, e, src, m)
+		d.start(a, e, src, m.Kind)
 	case PutX:
 		d.handlePutX(a, e, src, m)
 	case InvAck:
@@ -297,15 +299,16 @@ func (d *Directory) Handle(now uint64, src memtypes.NodeID, m Msg) {
 	case XferAck:
 		d.handleXferAck(a, e, src)
 	default:
-		panic(fmt.Sprintf("directory %d: unexpected message %v from %d", d.id, m, src))
+		panic(fmt.Sprintf("directory %d: unexpected message %v from %d", d.id, *m, src))
 	}
 	d.releaseIfIdle(e)
 }
 
-// start begins a new transaction for a block known to be idle.
-func (d *Directory) start(a memtypes.Addr, e *entry, src memtypes.NodeID, m Msg) {
+// start begins a new transaction of the given request kind for a block
+// known to be idle.
+func (d *Directory) start(a memtypes.Addr, e *entry, src memtypes.NodeID, kind MsgKind) {
 	d.Transactions++
-	e.txnBox = txn{kind: m.Kind, req: src}
+	e.txnBox = txn{kind: kind, req: src}
 	t := &e.txnBox
 	e.cur = t
 	if !e.inActive {
@@ -490,19 +493,19 @@ func (d *Directory) complete(a memtypes.Addr, e *entry) {
 		copy(e.waitq, e.waitq[1:])
 		e.waitq = e.waitq[:len(e.waitq)-1]
 		if q.msg.Kind == PutX {
-			d.handlePutX(a, e, q.src, q.msg)
+			d.handlePutX(a, e, q.src, &q.msg)
 		} else {
-			d.start(a, e, q.src, q.msg)
+			d.start(a, e, q.src, q.msg.Kind)
 		}
 	}
 }
 
-func (d *Directory) handlePutX(a memtypes.Addr, e *entry, src memtypes.NodeID, m Msg) {
+func (d *Directory) handlePutX(a memtypes.Addr, e *entry, src memtypes.NodeID, m *Msg) {
 	if e.cur != nil {
 		// A transaction is in flight; the Fwd to the (evicting) owner is
 		// served from its writeback buffer, and by the time this PutX is
 		// processed, ownership has moved on. Queue it for ordering.
-		e.waitq = append(e.waitq, queuedReq{src, m})
+		e.waitq = append(e.waitq, queuedReq{src, *m})
 		d.Queued++
 		return
 	}
@@ -528,7 +531,7 @@ func (d *Directory) handleInvAck(a memtypes.Addr, e *entry, src memtypes.NodeID)
 	d.tickTxn(a, e)
 }
 
-func (d *Directory) handleOwnerWBS(a memtypes.Addr, e *entry, src memtypes.NodeID, m Msg) {
+func (d *Directory) handleOwnerWBS(a memtypes.Addr, e *entry, src memtypes.NodeID, m *Msg) {
 	t := e.cur
 	if t == nil || t.phase != phaseWaitOwner || t.kind != GetS {
 		panic(fmt.Sprintf("directory %d: unexpected OwnerWBS@%#x from %d", d.id, uint64(a), src))

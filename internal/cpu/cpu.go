@@ -133,16 +133,31 @@ const (
 	sDone             // value bound (for atomics: only after retirement action)
 )
 
-// robEntry's fields are ordered for locality: the first 64 bytes hold what
-// promote, the issue walk and a consumer's operand lookup read of every
-// entry they touch.
+// robEntry is one ROB slot: 128 bytes, two cache lines. The first line
+// holds what promote, the issue walk, the wake-ups and a consumer's operand
+// lookup read of every entry they touch; the second holds the bound
+// operand values, the store data and the wake links. The instruction is
+// not copied: it is c.prog.Instrs[pc] (instr), and the entry keeps only its
+// opcode, which every rule tests, and its destination register, which
+// retirement and a rename rebuild write.
 type robEntry struct {
-	seq     uint64
-	doneAt  uint64
-	in      isa.Instr
+	seq    uint64
+	doneAt uint64
+	value  memtypes.Word
+	addr   memtypes.Addr
+
+	// Operand capture: srcRef[k] is the ROB slot of operand k's producer
+	// while the operand is unbound, -1 once it is bound in opVal[k]. The
+	// producer may retire before the operand binds; operandAt then reads
+	// the architectural file under srcReg[k].
+	srcRef  [3]int32
 	waiters int32 // issue wake-up: head of the consumer list (see wnext)
-	used    bool
+	pc      int32 // 32-bit pcs: New rejects programs that do not fit
+	op      isa.Op
+	rd      isa.Reg // destination register; R0 when the op writes none
+	srcReg  [3]isa.Reg
 	state   uint8
+	used    bool
 	addrOK  bool
 
 	// Load bookkeeping.
@@ -151,29 +166,17 @@ type robEntry struct {
 	fwdSQ    bool // value forwarded from an in-flight (in-window) store
 	fromL1   bool // value came from the memory system (SB/L1/fill)
 
-	opOK  [3]bool
-	value memtypes.Word
-
-	// Operand capture. srcSeq validates srcRef against slot reuse: if the
-	// slot no longer holds that seq, the producer retired and its value is
-	// in the architectural file under srcReg.
-	srcRef [3]int // producer ROB slot or -1
-	srcSeq [3]uint64
-	addr   memtypes.Addr
-	wakeAt uint64 // issue wake-up: the cycle a pending verdict comes due
-	opVal  [3]memtypes.Word
-
+	opVal    [3]memtypes.Word
+	wakeAt   uint64        // issue wake-up: the cycle a pending verdict comes due
 	dataVal  memtypes.Word // staged store data
 	fwdSeq   uint64        // load: seq of the forwarding store
-	pc       int
-	predNext int // fetch-time predicted successor pc
+	predNext int32         // fetch-time predicted successor pc
 
 	// Issue wake-up (Core.file): waiters heads the list of consumer
 	// operands waiting for this entry's result time to become known. A link
 	// is slot<<2|k, chained through the consumer's wnext[k]; -1 ends it.
 	// Dispatch pushes at the head, so a list runs youngest consumer first.
-	wnext  [3]int32
-	srcReg [3]isa.Reg
+	wnext [3]int32
 }
 
 // Core is one simulated processor core.
@@ -193,7 +196,7 @@ type Core struct {
 	tail        int // next free slot index
 	count       int
 	nextSeq     uint64
-	rename      [isa.NumRegs]int // ROB slot of latest producer, -1 = architectural
+	rename      [isa.NumRegs]int32 // ROB slot of latest producer, -1 = architectural
 	fetchPC     int
 	stallTil    uint64
 	fetchedHalt bool
@@ -236,6 +239,9 @@ type Core struct {
 func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word, backend Backend) *Core {
 	if cfg.ROBSize <= 0 {
 		panic("cpu: ROB size must be positive")
+	}
+	if !pcsFit(prog) {
+		panic("cpu: program pcs do not fit in 32 bits")
 	}
 	// Fetch predicts only pcs below len(prog.Instrs), so pc & predMask picks
 	// the same counter in a table of nextPow2(len) entries as in the full
@@ -291,6 +297,25 @@ func robSlots(cfg Config, prog *isa.Program) int {
 	}
 	return n
 }
+
+// pcsFit reports whether every pc the core can hold fits the ROB entry's
+// 32-bit pc fields: fetch only dispatches pcs below len(prog.Instrs), and a
+// predicted or resolved successor is the next pc or a branch target.
+func pcsFit(prog *isa.Program) bool {
+	fits := func(pc int) bool { return int(int32(pc)) == pc }
+	if !fits(len(prog.Instrs)) {
+		return false
+	}
+	for _, in := range prog.Instrs {
+		if in.Op.IsBranch() && !fits(in.Target) {
+			return false
+		}
+	}
+	return true
+}
+
+// instr is entry e's instruction.
+func (c *Core) instr(e *robEntry) *isa.Instr { return &c.prog.Instrs[e.pc] }
 
 // Halted reports whether the program has retired its Halt.
 func (c *Core) Halted() bool { return c.halted }
@@ -388,26 +413,26 @@ func (c *Core) retire() {
 			c.stallAt(StallOther)
 			return
 		}
-		in := e.in
+		op := e.op
 		ok, why, counter := true, StallNone, (*uint64)(nil)
 		switch {
-		case in.Op == isa.Halt:
+		case op == isa.Halt:
 			c.commitEntry(e)
 			c.halted = true
 			return
-		case in.Op == isa.Fence:
+		case op == isa.Fence:
 			ok, why = c.backend.RetireFence()
 			counter = &c.RetiredFences
-		case in.Op.IsLoad():
-			ok, why = c.backend.RetireLoad(in.Op, e.addr, e.fromL1)
+		case op.IsLoad():
+			ok, why = c.backend.RetireLoad(op, e.addr, e.fromL1)
 			counter = &c.RetiredLoads
-		case in.Op.IsStore():
-			ok, why = c.backend.RetireStore(in.Op, e.addr, e.dataVal)
+		case op.IsStore():
+			ok, why = c.backend.RetireStore(op, e.addr, e.dataVal)
 			counter = &c.RetiredStores
-		case in.Op.IsAtomic():
+		case op.IsAtomic():
 			opA, opB := c.atomicData(e)
 			var old memtypes.Word
-			if ok, old, why = c.backend.RetireAtomic(in.Op, e.addr, opA, opB); ok {
+			if ok, old, why = c.backend.RetireAtomic(op, e.addr, opA, opB); ok {
 				e.value, e.state = old, sDone
 			}
 			counter = &c.RetiredAtomics
@@ -431,7 +456,7 @@ func (c *Core) retire() {
 // an atomic needs its address and its data operands; everything else
 // needs its result (resultAt).
 func (c *Core) headReadyAt(e *robEntry) uint64 {
-	switch op := e.in.Op; {
+	switch op := e.op; {
 	case op == isa.Halt || op == isa.Fence:
 		return 0
 	case op.IsAtomic():
@@ -452,7 +477,7 @@ func (c *Core) headReadyAt(e *robEntry) uint64 {
 // or swap) value and, for CAS, the swap-in value.
 func (c *Core) atomicData(e *robEntry) (opA, opB memtypes.Word) {
 	opA, _ = c.operandAt(e, 1)
-	if e.in.Op == isa.Cas {
+	if e.op == isa.Cas {
 		opB, _ = c.operandAt(e, 2)
 	}
 	return opA, opB
@@ -469,11 +494,10 @@ func (c *Core) stallAt(why StallReason) {
 // retirement by seq mismatch and read the architectural file instead.
 func (c *Core) commitEntry(e *robEntry) {
 	slot := c.head
-	in := e.in
-	if in.Op.WritesRd() && in.Rd != isa.R0 {
-		c.archRegs[in.Rd] = e.value
-		if c.rename[in.Rd] == slot {
-			c.rename[in.Rd] = -1
+	if e.rd != isa.R0 {
+		c.archRegs[e.rd] = e.value
+		if c.rename[e.rd] == int32(slot) {
+			c.rename[e.rd] = -1
 		}
 	}
 	if c.loadQ.len() > 0 && c.loadQ.slots()[0] == slot {
@@ -487,7 +511,7 @@ func (c *Core) commitEntry(e *robEntry) {
 	if c.disp.has(slot) {
 		c.undispatch(slot)
 	}
-	c.pc = e.predNext // committed successor (mispredicts were squashed at execute)
+	c.pc = int(e.predNext) // committed successor (mispredicts were squashed at execute)
 	e.used = false
 	if c.head++; c.head == c.cfg.ROBSize {
 		c.head = 0
@@ -495,7 +519,7 @@ func (c *Core) commitEntry(e *robEntry) {
 	c.count--
 	c.Retired++
 	c.RetiredThisCycle++
-	if in.Op.IsAtomic() {
+	if e.op.IsAtomic() {
 		// The atomic's value binds here, and loads waiting on it may go.
 		c.wakeWaiters(slot)
 		c.wakeLoads(e)
@@ -526,15 +550,14 @@ func (c *Core) issue() {
 		}
 		e := &c.rob[s]
 		c.bindOps(e) // a ready entry's operands can all bind
-		in := e.in
-		switch {
-		case in.Op == isa.Halt || in.Op == isa.Fence:
+		switch op := e.op; {
+		case op == isa.Halt || op == isa.Fence:
 			// No execution; retirement policy handles them at the head.
 			e.state = sDone
 			e.doneAt = c.now
 			c.undispatch(s)
 			continue
-		case in.Op.IsLoad():
+		case op.IsLoad():
 			if memIssued >= c.cfg.MemPorts {
 				continue
 			}
@@ -543,29 +566,30 @@ func (c *Core) issue() {
 			// the load), but a store it would forward from may have retired
 			// since: search again.
 			c.issueLoad(s, e, c.classifyIssue(e).fwd)
-		case in.Op.IsStore() || in.Op.IsAtomic():
+		case op.IsStore() || op.IsAtomic():
 			// An atomic only generates its address; the RMW happens at
 			// retirement.
-			e.addr = effAddr(e.opVal[0], in)
+			e.addr = effAddr(e.opVal[0], c.instr(e).Imm)
 			e.addrOK = true
 			e.state = sIssued
 			e.doneAt = c.now
-			if in.Op.IsStore() {
+			if op.IsStore() {
 				e.dataVal = e.opVal[1]
 				e.state = sDone
 			}
 			c.undispatch(s)
 			c.checkStoreConflicts(s, e)
 			c.wakeLoads(e)
-		case in.Op.IsBranch():
+		case op.IsBranch():
 			c.undispatch(s)
 			if c.executeBranch(s, e) {
 				return // younger entries are gone
 			}
 		default:
+			in := c.instr(e)
 			e.value = evalALU(in, e.opVal[0], e.opVal[1])
 			e.state = sIssued
-			e.doneAt = c.now + in.Op.Latency(in.Imm)
+			e.doneAt = c.now + op.Latency(in.Imm)
 			c.queueExec(s)
 			c.undispatch(s)
 			c.wakeWaiters(s)
@@ -633,7 +657,7 @@ func (c *Core) wakeDue() {
 			switch at := c.rob[s].wakeAt; {
 			case at > c.now:
 				c.pendMin = min(c.pendMin, at)
-			case c.rob[s].in.Op.IsLoad():
+			case c.rob[s].op.IsLoad():
 				c.wake(s) // its operand is due; its store-queue search is not
 			default:
 				c.file(s, at) // operand times are fixed once known
@@ -644,14 +668,16 @@ func (c *Core) wakeDue() {
 
 // wakeWaiters re-files the entries waiting for entry p's result time,
 // which has just become known: p issued (an ALU op, a load hit or
-// forward), its fill arrived, or (an atomic) it committed.
+// forward), its fill arrived, or (an atomic) it committed. A link whose
+// slot has since been squashed and refilled is skipped unless its new
+// entry is also p's consumer (the age test of operandAt).
 func (c *Core) wakeWaiters(p int) {
 	pe := &c.rob[p]
 	for l := pe.waiters; l >= 0; {
 		s, k := int(l>>2), l&3
 		e := &c.rob[s]
 		l = e.wnext[k]
-		if e.used && e.state == sDispatched && e.srcRef[k] == p && e.srcSeq[k] == pe.seq {
+		if e.used && e.state == sDispatched && int(e.srcRef[k]) == p && pe.seq < e.seq {
 			c.wake(s)
 		}
 	}
@@ -668,7 +694,7 @@ func (c *Core) wakeLoads(st *robEntry) {
 		if l.seq < st.seq {
 			break
 		}
-		if v, at := c.operandAt(l, 0); l.state == sDispatched && at <= c.now && effAddr(v, l.in) == st.addr {
+		if v, at := c.operandAt(l, 0); l.state == sDispatched && at <= c.now && effAddr(v, c.instr(l).Imm) == st.addr {
 			c.wake(lq[i])
 		}
 	}
@@ -692,7 +718,7 @@ func (c *Core) resultAt(e *robEntry) uint64 {
 	switch {
 	case e.state == sDone:
 		return e.doneAt
-	case e.state == sIssued && !e.pendFill && !e.in.Op.IsAtomic():
+	case e.state == sIssued && !e.pendFill && !e.op.IsAtomic():
 		return max(c.now+1, e.doneAt)
 	}
 	return memtypes.NoEvent
@@ -702,16 +728,22 @@ func (c *Core) resultAt(e *robEntry) uint64 {
 // first cycle it can bind (<= c.now: it can now; memtypes.NoEvent: only a
 // fill or an atomic producer's retirement can bind it). The value comes
 // from the entry's bound slot, from the producer's ROB slot, or — when the
-// slot no longer holds the producer's seq, because it retired — from the
-// architectural file: any in-flight intervening writer of the same
-// register would have been the rename source instead.
+// producer has retired — from the architectural file: any in-flight
+// intervening writer of the same register would have been the rename
+// source instead.
+//
+// The producer still holds slot p exactly when p is live with a seq below
+// e's. A live producer is older than its consumer. A squash that removes it
+// removes e too, so once it is gone it retired; e was in flight then (it
+// read the rename table while the producer was), so whatever dispatched
+// into p since is younger than e.
 func (c *Core) operandAt(e *robEntry, k int) (memtypes.Word, uint64) {
 	p := e.srcRef[k]
-	if e.opOK[k] || p < 0 {
+	if p < 0 {
 		return e.opVal[k], 0
 	}
 	pe := &c.rob[p]
-	if !pe.used || pe.seq != e.srcSeq[k] {
+	if !pe.used || pe.seq > e.seq {
 		return c.archRegs[e.srcReg[k]], 0
 	}
 	return pe.value, c.resultAt(pe)
@@ -722,11 +754,11 @@ func (c *Core) operandAt(e *robEntry, k int) (memtypes.Word, uint64) {
 // visits; binding earlier would only save lookups.
 func (c *Core) bindOps(e *robEntry) {
 	for k := 0; k < 3; k++ {
-		if e.opOK[k] {
+		if e.srcRef[k] < 0 {
 			continue
 		}
 		if v, at := c.operandAt(e, k); at <= c.now {
-			e.opVal[k], e.opOK[k], e.srcRef[k] = v, true, -1
+			e.opVal[k], e.srcRef[k] = v, -1
 		}
 	}
 }
@@ -753,28 +785,28 @@ type issuePlan struct {
 // it if that was wrong).
 func (c *Core) classifyIssue(e *robEntry) issuePlan {
 	need := 3
-	if e.in.Op.IsLoad() || e.in.Op.IsAtomic() {
+	if e.op.IsLoad() || e.op.IsAtomic() {
 		need = 1
 	}
 	var at uint64
 	for k := 0; k < need; k++ {
-		if !e.opOK[k] {
+		if e.srcRef[k] >= 0 {
 			_, t := c.operandAt(e, k)
 			at = max(at, t)
 		}
 	}
-	if at > c.now || !e.in.Op.IsLoad() {
+	if at > c.now || !e.op.IsLoad() {
 		return issuePlan{at: at, fwd: -1}
 	}
 	base, _ := c.operandAt(e, 0)
-	addr := effAddr(base, e.in)
+	addr := effAddr(base, c.instr(e).Imm)
 	sq := c.storeQ.slots()
 	for i := len(sq) - 1; i >= 0; i-- {
 		o := &c.rob[sq[i]]
 		if o.seq >= e.seq || !o.addrOK || o.addr != addr {
 			continue // younger than the load, or not known to match
 		}
-		if o.in.Op.IsStore() {
+		if o.op.IsStore() {
 			return issuePlan{at: at, fwd: sq[i]}
 		}
 		return issuePlan{at: memtypes.NoEvent, fwd: -1}
@@ -782,9 +814,10 @@ func (c *Core) classifyIssue(e *robEntry) issuePlan {
 	return issuePlan{at: at, fwd: -1}
 }
 
-// effAddr is a memory instruction's word-aligned effective address.
-func effAddr(base memtypes.Word, in isa.Instr) memtypes.Addr {
-	return memtypes.WordAlign(memtypes.Addr(base) + memtypes.Addr(in.Imm))
+// effAddr is a memory instruction's word-aligned effective address, from
+// its base register's value and its offset.
+func effAddr(base memtypes.Word, imm int64) memtypes.Addr {
+	return memtypes.WordAlign(memtypes.Addr(base) + memtypes.Addr(imm))
 }
 
 // issueLoad applies the issue classifier's verdict for a load: forward
@@ -792,7 +825,7 @@ func effAddr(base memtypes.Word, in isa.Instr) memtypes.Addr {
 // access. Either consumes a memory port; only a retry leaves the load
 // dispatched.
 func (c *Core) issueLoad(slot int, e *robEntry, fwd int) {
-	e.addr = effAddr(e.opVal[0], e.in)
+	e.addr = effAddr(e.opVal[0], c.instr(e).Imm)
 	e.addrOK = true
 	// An in-window forward binds like a store-buffer one: not from the
 	// L1, usable next cycle.
@@ -843,12 +876,13 @@ func (c *Core) executeBranch(slot int, e *robEntry) bool {
 	e.state = sDone
 	e.doneAt = c.now
 	e.value = 0
-	c.updatePredictor(e.pc, actual != e.pc+1)
-	if actual == e.predNext {
+	pc := int(e.pc)
+	c.updatePredictor(pc, actual != pc+1)
+	if actual == int(e.predNext) {
 		return false
 	}
 	c.Mispredicts++
-	e.predNext = actual
+	e.predNext = int32(actual)
 	if c.slotAge(slot)+1 < c.count {
 		c.squashSlots((slot + 1) % c.cfg.ROBSize)
 	}
@@ -859,7 +893,7 @@ func (c *Core) executeBranch(slot int, e *robEntry) bool {
 }
 
 func (c *Core) branchTarget(e *robEntry) int {
-	in := e.in
+	in := c.instr(e)
 	taken := false
 	switch in.Op {
 	case isa.Br:
@@ -876,7 +910,7 @@ func (c *Core) branchTarget(e *robEntry) int {
 	if taken {
 		return in.Target
 	}
-	return e.pc + 1
+	return int(e.pc) + 1
 }
 
 // ----------------------------------------------------------------- fetch
@@ -891,7 +925,7 @@ func (c *Core) fetch() {
 			c.FetchedWrongPath++
 			return
 		}
-		in := c.prog.Instrs[c.fetchPC]
+		in := &c.prog.Instrs[c.fetchPC]
 		next := c.fetchPC + 1
 		if in.Op == isa.Br {
 			next = in.Target
@@ -907,22 +941,26 @@ func (c *Core) fetch() {
 	}
 }
 
-func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
+func (c *Core) dispatch(pc int, in *isa.Instr, predNext int) {
 	slot := c.tail
 	e := &c.rob[slot]
 	c.nextSeq++
 	// Field-wise reset instead of *e = robEntry{...}: the composite literal
-	// zeroes and copies the whole ~200-byte entry per dispatched instruction,
-	// which profiled as the core's single hottest line. Every field read
-	// before being written is reset here; opVal/srcSeq/srcReg slots are only
-	// read under opOK[k]==false with srcRef[k] >= 0 (both set by bind) or
-	// after bind wrote the value, so their stale contents are dead.
+	// zeroes and copies the whole entry per dispatched instruction, which
+	// profiled as the core's single hottest line. Every field read before
+	// being written is reset here; opVal[k] is only read once bind or
+	// bindOps wrote it, and srcReg[k] only while srcRef[k] >= 0, which bind
+	// sets with it, so their stale contents are dead.
 	e.used = true
 	e.seq = c.nextSeq
 	e.waiters = -1
-	e.pc = pc
-	e.in = in
-	e.predNext = predNext
+	e.pc = int32(pc)
+	e.op = in.Op
+	e.rd = isa.R0
+	if in.Op.WritesRd() {
+		e.rd = in.Rd
+	}
+	e.predNext = int32(predNext)
 	e.state = sDispatched
 	e.doneAt = 0
 	e.value = 0
@@ -934,10 +972,7 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 	e.fwdSeq = 0
 	e.fromL1 = false
 	e.pendFill = false
-	for k := 0; k < 3; k++ {
-		e.srcRef[k] = -1
-		e.opOK[k] = true
-	}
+	e.srcRef = [3]int32{-1, -1, -1}
 	// bind resolves operand k by the operand rule: from the architectural
 	// file, or from the in-flight producer, bound now if its result is
 	// ready. An operand whose producer has no result time yet waits on the
@@ -954,7 +989,7 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 			e.opVal[k] = pe.value
 			return
 		}
-		e.srcRef[k], e.srcSeq[k], e.srcReg[k], e.opOK[k] = p, pe.seq, r, false
+		e.srcRef[k], e.srcReg[k] = p, r
 		if at == memtypes.NoEvent {
 			e.wnext[k], pe.waiters = pe.waiters, int32(slot<<2|k)
 		}
@@ -972,8 +1007,8 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 		bind(0, in.Rs1)
 		bind(1, in.Rs2)
 	}
-	if in.Op.WritesRd() && in.Rd != isa.R0 {
-		c.rename[in.Rd] = slot
+	if e.rd != isa.R0 {
+		c.rename[e.rd] = int32(slot)
 	}
 	if in.Op.IsLoad() {
 		c.loadQ.push(slot)
@@ -996,7 +1031,7 @@ func (c *Core) dispatch(pc int, in isa.Instr, predNext int) {
 func (c *Core) squashFrom(slot int) {
 	pc := c.rob[slot].pc
 	c.squashSlots(slot)
-	c.fetchPC = pc
+	c.fetchPC = int(pc)
 	c.fetchedHalt = false
 	c.stallTil = c.now + c.cfg.RedirectPenalty
 }
@@ -1067,12 +1102,12 @@ func (c *Core) rebuildRename() {
 			l = c.rob[l>>2].wnext[l&3]
 		}
 		e.waiters = l
-		if e.in.Op.WritesRd() && e.in.Rd != isa.R0 {
-			c.rename[e.in.Rd] = s
+		if e.rd != isa.R0 {
+			c.rename[e.rd] = int32(s)
 		}
-		if e.in.Op.IsLoad() {
+		if e.op.IsLoad() {
 			c.loadQ.push(s)
-		} else if e.in.Op.IsStore() || e.in.Op.IsAtomic() {
+		} else if e.op.IsStore() || e.op.IsAtomic() {
 			c.storeQ.push(s)
 		}
 	}
@@ -1227,9 +1262,9 @@ func (c *Core) HeadState() HeadState {
 	}
 	e := &c.rob[c.head]
 	at := c.headReadyAt(e)
-	hs := HeadState{Valid: true, Op: e.in.Op, Addr: e.addr, AddrOK: e.addrOK, ReadyAt: max(c.now+1, at)}
+	hs := HeadState{Valid: true, Op: e.op, Addr: e.addr, AddrOK: e.addrOK, ReadyAt: max(c.now+1, at)}
 	hs.Ready = hs.ReadyAt == c.now+1
-	if hs.Ready && e.in.Op.IsAtomic() {
+	if hs.Ready && e.op.IsAtomic() {
 		hs.OpA, hs.OpB = c.atomicData(e)
 		hs.OpsOK = at <= c.now
 	}
@@ -1274,7 +1309,7 @@ func (c *Core) updatePredictor(pc int, taken bool) {
 
 // ------------------------------------------------------------------- ALU
 
-func evalALU(in isa.Instr, a, b memtypes.Word) memtypes.Word {
+func evalALU(in *isa.Instr, a, b memtypes.Word) memtypes.Word {
 	switch in.Op {
 	case isa.MovI:
 		return memtypes.Word(in.Imm)

@@ -530,7 +530,7 @@ func checkWake(t *testing.T, c *Core, seed int64, cycle uint64) {
 		e := &c.rob[s]
 		if !c.disp.has(s) {
 			if e.state == sDispatched || c.ready.has(s) || c.pend.has(s) {
-				t.Fatalf("seed %d, cycle %d: slot %d (%v) is dispatched=%v ready=%v pend=%v but not in the dispatched set", seed, cycle, s, e.in, e.state == sDispatched, c.ready.has(s), c.pend.has(s))
+				t.Fatalf("seed %d, cycle %d: slot %d (%v) is dispatched=%v ready=%v pend=%v but not in the dispatched set", seed, cycle, s, *c.instr(e), e.state == sDispatched, c.ready.has(s), c.pend.has(s))
 			}
 			continue
 		}
@@ -541,7 +541,7 @@ func checkWake(t *testing.T, c *Core, seed int64, cycle uint64) {
 		exact := ready == (at <= c.now) && pend == (at > c.now && at != memtypes.NoEvent) && (!pend || e.wakeAt == at)
 		if late || !exact {
 			t.Fatalf("seed %d, cycle %d: slot %d (%v, seq %d, age %d) can issue at %d (now %d), but ready=%v pend=%v wakeAt=%d (late=%v)",
-				seed, cycle, s, e.in, e.seq, i, at, c.now, ready, pend, e.wakeAt, late)
+				seed, cycle, s, *c.instr(e), e.seq, i, at, c.now, ready, pend, e.wakeAt, late)
 		}
 	}
 	if n != c.nDisp {
@@ -622,11 +622,20 @@ func TestIssueNeverLate(t *testing.T) {
 }
 
 // TestROBEntrySize pins the ROB entry's size, which every dispatch writes
-// and every litmus-sized run allocates per thread: the wake links took the
-// place of the 24-byte readiness memo, and packing the flags together
-// brought the entry from 240 to 200 bytes.
+// and every litmus-sized run allocates per thread. It is two cache lines
+// (128 bytes): the instruction is read from the program, not copied, and
+// slots and pcs are 32-bit.
 func TestROBEntrySize(t *testing.T) {
-	if n := unsafe.Sizeof(robEntry{}); n > 200 {
-		t.Fatalf("robEntry is %d bytes, want <= 200", n)
+	if n := unsafe.Sizeof(robEntry{}); n > 144 {
+		t.Fatalf("robEntry is %d bytes, want <= 144", n)
+	}
+}
+
+// TestCoreSize pins the Core struct, one allocation per simulated thread,
+// inside the allocator's 896-byte size class; one byte more would put it
+// in the 1,024-byte class.
+func TestCoreSize(t *testing.T) {
+	if n := unsafe.Sizeof(Core{}); n > 896 {
+		t.Fatalf("Core is %d bytes, want <= 896", n)
 	}
 }

@@ -14,13 +14,13 @@ import (
 // four checkpoint register files per engine, or a seeded math/rand
 // generator per network (its jitter comes from the shared draws). For
 // every configuration, the average heap bytes one RunSeed allocates stay
-// under 48 KB; the first configuration also builds the shared draws of
-// its seeds. Not parallel: TotalAlloc is process-wide, and the package's
+// under 41 KB, about 10% above the largest measured (38,411 bytes, sc);
+// the first configuration also builds the shared draws of its seeds. Not parallel: TotalAlloc is process-wide, and the package's
 // parallel tests start only after this one returns.
 func TestRunSeedAllocBytes(t *testing.T) {
 	const (
 		runs     = 20
-		maxBytes = 48 << 10
+		maxBytes = 41 << 10
 	)
 	sb := Tests[0]
 	if sb.Name != "SB" {

@@ -40,7 +40,7 @@ func TestJitterDrawsMatchMathRand(t *testing.T) {
 			n.Tick(1 << 20)
 			arrive := make([]uint64, sends)
 			for d := 0; d < n.Nodes(); d++ {
-				for m, ok := n.Recv(NodeID(d)); ok; m, ok = n.Recv(NodeID(d)) {
+				for m := n.Recv(NodeID(d)); m != nil; m = n.Recv(NodeID(d)) {
 					arrive[payloadTag(m)] = m.arrive
 				}
 			}

@@ -103,7 +103,9 @@ func DefaultConfig() Config {
 }
 
 // inbox is one destination's delivered-message FIFO: a ring that reuses its
-// backing storage instead of shifting on every Recv.
+// backing storage instead of shifting on every Recv. pop hands out pointers
+// into it and only push moves or overwrites entries, so a popped message
+// stays in place until the next push (Network.Tick).
 type inbox struct {
 	q    []Message
 	head int
@@ -111,16 +113,7 @@ type inbox struct {
 
 func (b *inbox) len() int { return len(b.q) - b.head }
 
-func (b *inbox) push(m Message) { b.q = append(b.q, m) }
-
-func (b *inbox) pop() (Message, bool) {
-	if b.head >= len(b.q) {
-		return Message{}, false
-	}
-	m := b.q[b.head]
-	// Popped slots are left as-is: Message is pointer-free since the payload
-	// became an inline value, so there is nothing for the GC to release.
-	b.head++
+func (b *inbox) push(m *Message) {
 	switch {
 	case b.head == len(b.q):
 		b.q = b.q[:0]
@@ -133,7 +126,17 @@ func (b *inbox) pop() (Message, bool) {
 		b.q = b.q[:n]
 		b.head = 0
 	}
-	return m, true
+	b.q = append(b.q, *m)
+}
+
+// pop returns the oldest message, or nil. Popped slots are left as-is:
+// Message is pointer-free, so there is nothing for the GC to release.
+func (b *inbox) pop() *Message {
+	if b.head == len(b.q) {
+		return nil
+	}
+	b.head++
+	return &b.q[b.head-1]
 }
 
 // Network is the torus — or, in shard mode, one cluster's partition of it.
@@ -480,15 +483,19 @@ func (n *Network) Send(src, dst NodeID, payload coherence.Msg) {
 func (n *Network) Tick(now uint64) {
 	n.now = now
 	for len(n.flight) > 0 && n.flight[0].arrive <= now {
-		m := n.flight.pop(n.sharded)
-		n.inboxes[m.Dst].push(m)
+		n.inboxes[n.flight[0].Dst].push(&n.flight[0])
+		n.flight.pop(n.sharded)
 		n.Delivered++
 	}
 }
 
-// Recv pops the oldest delivered message for dst, if any. Node controllers
-// call this repeatedly, bounded by their own per-cycle service rate.
-func (n *Network) Recv(dst NodeID) (Message, bool) {
+// Recv pops the oldest delivered message for dst, or returns nil when there
+// is none. Node controllers call this repeatedly, bounded by their own
+// per-cycle service rate. The message is not copied: the pointer is into
+// dst's inbox and stays valid until the next Tick, the only call that
+// writes inboxes (DESIGN.md §9). A caller that keeps a message longer
+// copies it.
+func (n *Network) Recv(dst NodeID) *Message {
 	return n.inboxes[dst].pop()
 }
 
@@ -610,9 +617,9 @@ func (h *msgHeap) push(m Message, composite bool) {
 	}
 }
 
-func (h *msgHeap) pop(composite bool) Message {
+// pop removes the minimum, q[0]; callers read it there first.
+func (h *msgHeap) pop(composite bool) {
 	q := *h
-	top := q[0]
 	last := len(q) - 1
 	q[0] = q[last]
 	q = q[:last] // no zeroing: Message is pointer-free
@@ -634,5 +641,4 @@ func (h *msgHeap) pop(composite bool) Message {
 		q[i], q[smallest] = q[smallest], q[i]
 		i = smallest
 	}
-	return top
 }

@@ -13,7 +13,7 @@ import (
 // carries since devirtualization); tag reads it back.
 func pl(i int) coherence.Msg { return coherence.Msg{Addr: memtypes.Addr(i)} }
 
-func payloadTag(m Message) int { return int(m.Payload.Addr) }
+func payloadTag(m *Message) int { return int(m.Payload.Addr) }
 
 func mk(t *testing.T, cfg Config) *Network {
 	t.Helper()
@@ -70,13 +70,13 @@ func TestDeliveryLatency(t *testing.T) {
 	n.Send(0, 5, pl(7)) // 2 hops = 20 cycles
 	for now := uint64(101); now < 120; now++ {
 		n.Tick(now)
-		if _, ok := n.Recv(5); ok {
+		if n.Recv(5) != nil {
 			t.Fatalf("delivered early at %d", now)
 		}
 	}
 	n.Tick(120)
-	m, ok := n.Recv(5)
-	if !ok {
+	m := n.Recv(5)
+	if m == nil {
 		t.Fatal("not delivered at latency")
 	}
 	if payloadTag(m) != 7 || m.Src != 0 {
@@ -89,7 +89,7 @@ func TestLocalDelivery(t *testing.T) {
 	n.Tick(10)
 	n.Send(3, 3, pl(42))
 	n.Tick(11)
-	if _, ok := n.Recv(3); !ok {
+	if n.Recv(3) == nil {
 		t.Fatal("local message not delivered after LocalLatency")
 	}
 }
@@ -106,8 +106,8 @@ func TestPerPairFIFO(t *testing.T) {
 	for now := uint64(2); now < 500 && len(got) < 50; now++ {
 		n.Tick(now)
 		for {
-			m, ok := n.Recv(2)
-			if !ok {
+			m := n.Recv(2)
+			if m == nil {
 				break
 			}
 			got = append(got, payloadTag(m))
@@ -135,8 +135,8 @@ func TestDeterminism(t *testing.T) {
 			n.Tick(now)
 			for d := 0; d < n.Nodes(); d++ {
 				for {
-					m, ok := n.Recv(NodeID(d))
-					if !ok {
+					m := n.Recv(NodeID(d))
+					if m == nil {
 						break
 					}
 					order = append(order, payloadTag(m))
@@ -218,8 +218,8 @@ func TestShardOrderingMatchesSerial(t *testing.T) {
 			n.Tick(now)
 			for dst := NodeID(0); dst < 4; dst++ {
 				for {
-					m, ok := n.Recv(dst)
-					if !ok {
+					m := n.Recv(dst)
+					if m == nil {
 						break
 					}
 					got[dst] = append(got[dst], payloadTag(m))
@@ -255,8 +255,8 @@ func TestShardOrderingMatchesSerial(t *testing.T) {
 			for dst := NodeID(0); dst < 4; dst++ {
 				sh := shards[shardOf(dst)]
 				for {
-					m, ok := sh.Recv(dst)
-					if !ok {
+					m := sh.Recv(dst)
+					if m == nil {
 						break
 					}
 					got[dst] = append(got[dst], payloadTag(m))
@@ -318,20 +318,20 @@ func TestLinkContentionSerializes(t *testing.T) {
 	n.Send(0, 1, pl(1))
 	n.Send(0, 1, pl(2))
 	n.Tick(110)
-	if _, ok := n.Recv(1); ok {
+	if n.Recv(1) != nil {
 		t.Fatal("message delivered before serialization + propagation completed")
 	}
 	n.Tick(111)
-	if m, ok := n.Recv(1); !ok || payloadTag(m) != 1 {
-		t.Fatalf("first message not delivered at 111 (ok=%v)", ok)
+	if m := n.Recv(1); m == nil || payloadTag(m) != 1 {
+		t.Fatalf("first message not delivered at 111 (got %v)", m)
 	}
 	n.Tick(120)
-	if _, ok := n.Recv(1); ok {
+	if n.Recv(1) != nil {
 		t.Fatal("queued message delivered before its link wait elapsed")
 	}
 	n.Tick(121)
-	if m, ok := n.Recv(1); !ok || payloadTag(m) != 2 {
-		t.Fatalf("queued message not delivered at 121 (ok=%v)", ok)
+	if m := n.Recv(1); m == nil || payloadTag(m) != 2 {
+		t.Fatalf("queued message not delivered at 121 (got %v)", m)
 	}
 	c := n.Contention
 	if c.Messages != 2 || c.QueuedMessages != 1 || c.QueueDelayCycles != 10 {
@@ -349,11 +349,11 @@ func TestLinkContentionDataFlits(t *testing.T) {
 	m.HasData = true
 	n.Send(0, 1, m) // 5 flits x 10 cycles: transmits [1,51), arrives 151
 	n.Tick(150)
-	if _, ok := n.Recv(1); ok {
+	if n.Recv(1) != nil {
 		t.Fatal("data message delivered before its serialization elapsed")
 	}
 	n.Tick(151)
-	if _, ok := n.Recv(1); !ok {
+	if n.Recv(1) == nil {
 		t.Fatal("data message not delivered at 151")
 	}
 	if got := n.Contention.LinkBusyCycles; got != 50 {
@@ -368,10 +368,10 @@ func TestLinkContentionDistinctLinksIndependent(t *testing.T) {
 	n.Send(0, 1, pl(1))
 	n.Send(0, 4, pl(2))
 	n.Tick(111)
-	if _, ok := n.Recv(1); !ok {
+	if n.Recv(1) == nil {
 		t.Fatal("+X message not delivered uncontended")
 	}
-	if _, ok := n.Recv(4); !ok {
+	if n.Recv(4) == nil {
 		t.Fatal("+Y message not delivered uncontended")
 	}
 	if q := n.Contention.QueuedMessages; q != 0 {
@@ -384,7 +384,7 @@ func TestLinkContentionLocalBypass(t *testing.T) {
 	n.Tick(1)
 	n.Send(0, 0, pl(1))
 	n.Tick(2)
-	if _, ok := n.Recv(0); !ok {
+	if n.Recv(0) == nil {
 		t.Fatal("self-send not delivered at LocalLatency")
 	}
 	if n.Contention.Messages != 0 || n.Contention.LinkBusyCycles != 0 {
@@ -401,12 +401,12 @@ func TestLinkBandwidthZeroUnchanged(t *testing.T) {
 	n.Send(0, 1, pl(1))
 	n.Send(0, 1, pl(2))
 	n.Tick(101)
-	if m, ok := n.Recv(1); !ok || payloadTag(m) != 1 {
+	if m := n.Recv(1); m == nil || payloadTag(m) != 1 {
 		t.Fatal("latency-only delivery at hop latency broken")
 	}
 	// Same-pair FIFO bump: second message one cycle later, as ever.
 	n.Tick(102)
-	if m, ok := n.Recv(1); !ok || payloadTag(m) != 2 {
+	if m := n.Recv(1); m == nil || payloadTag(m) != 2 {
 		t.Fatal("latency-only FIFO bump broken")
 	}
 	if n.Contention != (stats.NetStats{}) {
@@ -488,8 +488,8 @@ func TestShardContentionMatchesSerial(t *testing.T) {
 		serialNet.Tick(now)
 		for dst := NodeID(0); dst < 4; dst++ {
 			for {
-				m, ok := serialNet.Recv(dst)
-				if !ok {
+				m := serialNet.Recv(dst)
+				if m == nil {
 					break
 				}
 				serial[dst] = append(serial[dst], payloadTag(m))
@@ -520,8 +520,8 @@ func TestShardContentionMatchesSerial(t *testing.T) {
 		for dst := NodeID(0); dst < 4; dst++ {
 			sh := shards[shardOf(dst)]
 			for {
-				m, ok := sh.Recv(dst)
-				if !ok {
+				m := sh.Recv(dst)
+				if m == nil {
 					break
 				}
 				sharded[dst] = append(sharded[dst], payloadTag(m))
@@ -559,5 +559,38 @@ func TestShardContentionMatchesSerial(t *testing.T) {
 	}
 	if serialNet.Contention.QueuedMessages == 0 {
 		t.Error("schedule produced no queuing; the test exercises nothing")
+	}
+}
+
+// TestRecvPointersStableUntilTick pins the lifetime of Recv's pointers:
+// every message popped before the next Tick stays intact while later ones
+// are popped, past the inbox's compaction threshold, and the compaction
+// that the next Tick's pushes do keeps the queue's order.
+func TestRecvPointersStableUntilTick(t *testing.T) {
+	n := mk(t, Config{Width: 2, Height: 1, HopLatency: 10})
+	for i := 0; i < 200; i++ {
+		n.Send(0, 1, pl(i))
+	}
+	n.Tick(300)
+	var popped []*Message
+	for i := 0; i < 150; i++ {
+		popped = append(popped, n.Recv(1))
+	}
+	for i, m := range popped {
+		if payloadTag(m) != i {
+			t.Fatalf("message %d popped this cycle now reads %d", i, payloadTag(m))
+		}
+	}
+	for i := 200; i < 300; i++ {
+		n.Send(0, 1, pl(i))
+	}
+	n.Tick(600)
+	for want := 150; want < 300; want++ {
+		if m := n.Recv(1); m == nil || payloadTag(m) != want {
+			t.Fatalf("after compaction: got %v, want message %d", m, want)
+		}
+	}
+	if n.Recv(1) != nil {
+		t.Fatal("inbox not empty")
 	}
 }

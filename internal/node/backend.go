@@ -182,7 +182,7 @@ func (n *Node) classifyLoad(op isa.Op, addr memtypes.Addr, fromL1 bool) headPlan
 		}
 		return headPlan{line: line, markRead: true}
 	}
-	if consistency.Orders(n.cfg.Model, consistency.Store, consistency.ClassOf(op)) && !n.sbEmpty() {
+	if consistency.Orders(n.model, consistency.Store, consistency.ClassOf(op)) && !n.sbEmpty() {
 		// SC: a load may not retire past outstanding stores -- unless
 		// InvisiFence speculates instead (§4.1).
 		return n.drainOrBegin(false)
@@ -219,7 +219,7 @@ func (n *Node) classifyStore(op isa.Op, addr memtypes.Addr) headPlan {
 	// speculation (Figure 4's "store/atomic reorderings", Invisi_rc's
 	// release trigger, Louvre's version-epoch open), or waits for the
 	// drain (the forward-progress grace window).
-	if consistency.Orders(n.cfg.Model, consistency.Store, consistency.ClassOf(op)) && !n.sbEmpty() {
+	if consistency.Orders(n.model, consistency.Store, consistency.ClassOf(op)) && !n.sbEmpty() {
 		return n.drainOrBegin(op.IsRelease())
 	}
 	// The baseline RMO path: store hits retire directly into the L1;
@@ -289,7 +289,7 @@ func (n *Node) heldByOlderEpoch(line *cache.Line, y int) bool {
 		if e == y {
 			return false
 		}
-		if line.SpecWritten[e] {
+		if line.SpecWritten(e) {
 			return true
 		}
 	}
@@ -318,7 +318,7 @@ func (n *Node) classifyAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.W
 	if n.engine.Speculating() {
 		return n.classifySpecAtomic(op, addr, opA, opB, opsOK)
 	}
-	if consistency.Orders(n.cfg.Model, consistency.Store, consistency.Atomic) && !n.sbEmpty() {
+	if consistency.Orders(n.model, consistency.Store, consistency.Atomic) && !n.sbEmpty() {
 		// SC/TSO (and RC, whose atomics are synchronization accesses):
 		// drain before the atomic -- or speculate (Figure 4).
 		return n.drainOrBegin(false)
@@ -332,7 +332,7 @@ func (n *Node) classifyAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtypes.W
 		// Ownership wait ("complete store", Figure 2). Where the
 		// conventional buffer is coalescing (RMO, RC) this is the Figure 4
 		// atomic trigger.
-		if consistency.ConventionalSB(n.cfg.Model) == consistency.SBCoalescingBlock &&
+		if consistency.ConventionalSB(n.model) == consistency.SBCoalescingBlock &&
 			n.canTriggerSpeculation(false) {
 			return headPlan{step: stepBegin}
 		}
@@ -380,7 +380,7 @@ func (n *Node) classifySpecAtomic(op isa.Op, addr memtypes.Addr, opA, opB memtyp
 		p = n.classifySpecStore(addr) // the store half
 	}
 	p.line, p.markRead, p.val, p.old = line, true, nv, old
-	if !line.SpecRead[n.engine.YoungestEpoch()] {
+	if !line.SpecRead(n.engine.YoungestEpoch()) {
 		p.wait = waitMutates // the attempt sets the read bit
 	}
 	return p

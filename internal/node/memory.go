@@ -36,7 +36,7 @@ func (n *Node) l1SetIndex(a memtypes.Addr) uint64 {
 // fills deadlock-free: outstanding fills plus pinned lines in an L1 set may
 // not exceed its associativity.
 func (n *Node) canAllocateFill(block memtypes.Addr) bool {
-	if len(n.mshrs) >= n.cfg.MSHRs {
+	if len(n.mshrs) >= n.maxMSHRs {
 		return false
 	}
 	return n.setPending[n.l1SetIndex(block)] < n.l1.Ways()
@@ -73,10 +73,10 @@ func (n *Node) freeMSHR(m *mshrEntry) {
 	}
 	n.mshrFree = append(n.mshrFree, m)
 	n.setPending[n.l1SetIndex(m.block)]--
-	if n.cfg.FillHoldCycles > 0 && !m.prefetch {
+	if n.fillHoldCycles > 0 && !m.prefetch {
 		// Livelock avoidance: give the core a short exclusive window on
 		// the freshly arrived line before external probes may take it.
-		put(&n.fillHold, m.block, n.now+n.cfg.FillHoldCycles)
+		put(&n.fillHold, m.block, n.now+n.fillHoldCycles)
 		if len(n.fillHold) > 1024 {
 			//lint:allow determinism deletes exactly the expired holds, in any order
 			for b, until := range n.fillHold {
@@ -234,7 +234,7 @@ func (n *Node) evictL1Line(v *cache.Line) {
 		l2line.State = cache.Modified
 	}
 	n.l1.Invalidate(addr)
-	if n.cfg.SnoopLQ {
+	if n.snoopLQ {
 		n.core.SnoopBlock(addr)
 	}
 }
@@ -385,10 +385,10 @@ func (n *Node) drainFIFO() {
 // MSHR-headroom check is made once, up front. drainFIFO issues the
 // requests; sbNextEvent only asks whether there is one.
 func (n *Node) storePrefetches(request func(block memtypes.Addr) bool) {
-	if n.cfg.StorePrefetchDepth <= 0 || len(n.mshrs) >= n.cfg.MSHRs-4 {
+	if n.storePrefetchDepth <= 0 || len(n.mshrs) >= n.maxMSHRs-4 {
 		return
 	}
-	for _, block := range n.fifoSB.PrefetchBlocks(n.cfg.StorePrefetchDepth) {
+	for _, block := range n.fifoSB.PrefetchBlocks(n.storePrefetchDepth) {
 		if _, ok := n.mshrs[block]; ok {
 			continue
 		}
@@ -452,7 +452,7 @@ func (n *Node) drainEntry(e *storebuffer.CoalescingEntry) bool {
 			spec = false
 		} else {
 			for _, older := range n.engine.ActiveEpochs()[:age] {
-				if line.SpecWritten[older] {
+				if line.SpecWritten(older) {
 					return false
 				}
 			}

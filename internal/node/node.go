@@ -99,9 +99,10 @@ type wbEntry struct {
 	dirty bool
 }
 
-// parkedProbe holds a deferred or raced coherence message by value; the
-// parked list and its retry scratch swap backing arrays each cycle, so
-// parking allocates nothing in steady state.
+// parkedProbe holds a deferred or raced coherence message by value (park
+// copies it out of the inbox or the retry scratch); the parked list and its
+// retry scratch swap backing arrays each cycle, so parking allocates nothing
+// in steady state.
 type parkedProbe struct {
 	src      network.NodeID
 	msg      coherence.Msg
@@ -109,9 +110,10 @@ type parkedProbe struct {
 	isCoV    bool
 }
 
-// Node is one processor node of the 16-node system.
+// Node is one processor node of the 16-node system. It keeps the Config
+// fields it reads itself; the cache, core, engine, memory and store-buffer
+// parts of the Config belong to the components built from them.
 type Node struct {
-	cfg   Config
 	id    network.NodeID
 	nodes int
 	net   *network.Network
@@ -149,7 +151,14 @@ type Node struct {
 	// parked fill later re-install stale data.
 	parkedFills map[memtypes.Addr]bool
 
+	model      consistency.Model
+	snoopLQ    bool // Config.SnoopLQ
 	accounting bool // false once the core halts (post-halt drain not charged)
+
+	// Config's limits: msgsPerCycle is MsgsPerCycle with its default
+	// applied.
+	msgsPerCycle, maxMSHRs, storePrefetchDepth int
+	fillHoldCycles                             uint64
 
 	// Stats.
 	CleaningWBs, Prefetches, L2HitFills, RemoteFills uint64
@@ -162,15 +171,20 @@ func New(cfg Config, net *network.Network, prog *isa.Program, regs [isa.NumRegs]
 		cfg.MsgsPerCycle = 8
 	}
 	n := &Node{
-		cfg:        cfg,
-		id:         cfg.ID,
-		nodes:      cfg.Nodes,
-		net:        net,
-		mem:        memctrl.New(cfg.Memory),
-		l1:         cache.New(cfg.L1),
-		l2:         cache.New(cfg.L2),
-		st:         &stats.NodeStats{},
-		accounting: true,
+		id:                 cfg.ID,
+		nodes:              cfg.Nodes,
+		net:                net,
+		mem:                memctrl.New(cfg.Memory),
+		l1:                 cache.New(cfg.L1),
+		l2:                 cache.New(cfg.L2),
+		st:                 &stats.NodeStats{},
+		model:              cfg.Model,
+		snoopLQ:            cfg.SnoopLQ,
+		accounting:         true,
+		msgsPerCycle:       cfg.MsgsPerCycle,
+		maxMSHRs:           cfg.MSHRs,
+		storePrefetchDepth: cfg.StorePrefetchDepth,
+		fillHoldCycles:     cfg.FillHoldCycles,
 	}
 	n.dir = coherence.NewDirectory(cfg.ID, cfg.Nodes, n.mem, net)
 	if cfg.UsesFIFOSB() {
@@ -271,19 +285,19 @@ func (n *Node) Tick(now uint64) {
 
 // deliver consumes protocol messages from the network inbox.
 func (n *Node) deliver() {
-	for i := 0; i < n.cfg.MsgsPerCycle; i++ {
-		m, ok := n.net.Recv(n.id)
-		if !ok {
+	for i := 0; i < n.msgsPerCycle; i++ {
+		m := n.net.Recv(n.id)
+		if m == nil {
 			return
 		}
 		if m.Payload.Kind.IsDirRequest() {
-			n.dir.Handle(n.now, m.Src, m.Payload)
+			n.dir.Handle(n.now, m.Src, &m.Payload)
 			continue
 		}
 		if coherence.TraceOn() {
 			coherence.Trace(n.now, fmt.Sprintf("node%d<-%d", n.id, m.Src), m.Payload, "")
 		}
-		n.handleCacheMsg(m.Src, m.Payload)
+		n.handleCacheMsg(m.Src, &m.Payload)
 	}
 }
 

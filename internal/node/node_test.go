@@ -2,6 +2,7 @@ package node
 
 import (
 	"testing"
+	"unsafe"
 
 	"invisifence/internal/cache"
 	"invisifence/internal/consistency"
@@ -140,7 +141,7 @@ func TestCleaningWritebackPreservesPreSpecValue(t *testing.T) {
 		t.Fatal("speculation committed despite the outstanding remote store")
 	}
 	line = n0.L1().Peek(addr)
-	if line == nil || !line.SpecWritten[epoch] || line.Data[0] != 9 {
+	if line == nil || !line.SpecWritten(epoch) || line.Data[0] != 9 {
 		t.Fatalf("speculative value not in L1: %+v", line)
 	}
 	l2line := n0.L2().Peek(addr)
@@ -357,5 +358,14 @@ func TestCoVDeferralEndsInCommit(t *testing.T) {
 	}
 	if got := n1.L1().Peek(addr); got == nil || got.Data[0] != 9 {
 		t.Fatalf("writer's store did not land after the save: %+v", got)
+	}
+}
+
+// TestNodeSize pins the Node struct, one allocation per simulated node,
+// inside the allocator's 352-byte size class: it keeps the six Config
+// fields it reads, not a copy of the 296-byte Config.
+func TestNodeSize(t *testing.T) {
+	if n := unsafe.Sizeof(Node{}); n > 352 {
+		t.Fatalf("Node is %d bytes, want <= 352", n)
 	}
 }

@@ -7,8 +7,10 @@ import (
 	"invisifence/internal/network"
 )
 
-// handleCacheMsg dispatches a directory-to-cache message.
-func (n *Node) handleCacheMsg(src network.NodeID, m coherence.Msg) {
+// handleCacheMsg dispatches a directory-to-cache message. m points into the
+// network inbox or into retryParked's scratch, and is read during the call
+// only; park copies a message that has to wait.
+func (n *Node) handleCacheMsg(src network.NodeID, m *coherence.Msg) {
 	switch m.Kind {
 	case coherence.DataS, coherence.DataE, coherence.DataM,
 		coherence.FwdDataS, coherence.FwdDataM, coherence.GrantX:
@@ -18,13 +20,13 @@ func (n *Node) handleCacheMsg(src network.NodeID, m coherence.Msg) {
 	case coherence.Inv, coherence.FwdGetS, coherence.FwdGetX:
 		n.handleProbe(src, m, nil)
 	default:
-		n.invariant(false, "unexpected cache message %v from %d", m, src)
+		n.invariant(false, "unexpected cache message %v from %d", *m, src)
 	}
 }
 
 // handleFill completes an outstanding miss with arriving data or an
 // upgrade grant.
-func (n *Node) handleFill(m coherence.Msg) {
+func (n *Node) handleFill(m *coherence.Msg) {
 	block := m.Addr
 	mshr, ok := n.mshrs[block]
 	n.invariantAddr(ok, "fill without MSHR", block)
@@ -57,7 +59,7 @@ func (n *Node) handleFill(m coherence.Msg) {
 			// no victim is free yet; retry so the granted permission can
 			// be used the moment it arrives (a slow refill here would let
 			// contending readers steal the line back forever).
-			n.parked = append(n.parked, parkedProbe{src: n.id, msg: m})
+			n.park(n.id, m, nil)
 			return
 		}
 		n.wakeWaiters(mshr)
@@ -79,7 +81,7 @@ func (n *Node) handleFill(m coherence.Msg) {
 	if !n.installL2(block, m.Data, l2state) {
 		// No L2 victim available yet; retry next cycle via parked fill.
 		put(&n.parkedFills, block, true)
-		n.parked = append(n.parked, parkedProbe{src: n.id, msg: m})
+		n.park(n.id, m, nil)
 		return
 	}
 	l1state := l2state
@@ -88,7 +90,7 @@ func (n *Node) handleFill(m coherence.Msg) {
 	}
 	if !n.installL1(block, m.Data, l1state) {
 		put(&n.parkedFills, block, true)
-		n.parked = append(n.parked, parkedProbe{src: n.id, msg: m})
+		n.park(n.id, m, nil)
 		return
 	}
 	delete(n.parkedFills, block)
@@ -116,9 +118,9 @@ func (n *Node) retryParked() {
 		p := &pending[i]
 		switch p.msg.Kind {
 		case coherence.Inv, coherence.FwdGetS, coherence.FwdGetX:
-			n.handleProbe(p.src, p.msg, p)
+			n.handleProbe(p.src, &p.msg, p)
 		default:
-			n.handleFill(p.msg)
+			n.handleFill(&p.msg)
 		}
 	}
 }
@@ -134,7 +136,7 @@ func probeWantsWrite(k coherence.MsgKind) bool {
 // deferral, then the conventional MESI response. prior is non-nil when
 // retrying a parked probe (it points into retryParked's scratch snapshot,
 // which is stable while the retry loop runs; re-parking copies it).
-func (n *Node) handleProbe(src network.NodeID, m coherence.Msg, prior *parkedProbe) {
+func (n *Node) handleProbe(src network.NodeID, m *coherence.Msg, prior *parkedProbe) {
 	block := m.Addr
 
 	// ASO commit drain blocks the cache's external interface (§2.2).
@@ -205,7 +207,7 @@ func (n *Node) handleProbe(src network.NodeID, m coherence.Msg, prior *parkedPro
 	if l1line != nil {
 		conflict := -1
 		for _, e := range n.engine.ActiveEpochs() {
-			if l1line.SpecWritten[e] || (probeWantsWrite(m.Kind) && l1line.SpecRead[e]) {
+			if l1line.SpecWritten(e) || (probeWantsWrite(m.Kind) && l1line.SpecRead(e)) {
 				conflict = e
 				break
 			}
@@ -218,7 +220,6 @@ func (n *Node) handleProbe(src network.NodeID, m coherence.Msg, prior *parkedPro
 					n.engine.NotifyDeferredProbe()
 					n.st.CoVDeferrals++
 					n.park(src, m, &parkedProbe{
-						src: src, msg: m,
 						deadline: n.engine.CoVDeadline(n.now),
 						isCoV:    true,
 					})
@@ -247,7 +248,7 @@ func (n *Node) handleProbe(src network.NodeID, m coherence.Msg, prior *parkedPro
 		n.drainCoalescing(block, 0, true)
 		l1line = n.l1.Peek(block)
 	}
-	if n.cfg.SnoopLQ && probeWantsWrite(m.Kind) {
+	if n.snoopLQ && probeWantsWrite(m.Kind) {
 		n.core.SnoopBlock(block)
 	}
 
@@ -303,16 +304,15 @@ func (n *Node) latestData(l1line, l2line *cache.Line, block memtypes.Addr) memty
 	return l2line.Data
 }
 
-// park queues a probe for retry next cycle. prior (a retry's scratch entry)
-// carries CoV deferral state forward; its fields are copied into the live
-// parked list, never retained by pointer.
-func (n *Node) park(src network.NodeID, m coherence.Msg, prior *parkedProbe) {
+// park queues a probe or fill for retry next cycle, copying the message:
+// the one copy a message makes on its way through the node. prior (a
+// retry's scratch entry, or a new deferral) carries CoV deferral state
+// forward; its fields are copied into the live parked list, never retained
+// by pointer.
+func (n *Node) park(src network.NodeID, m *coherence.Msg, prior *parkedProbe) {
+	n.parked = append(n.parked, parkedProbe{src: src, msg: *m})
 	if prior != nil {
-		p := *prior
-		p.src = src
-		p.msg = m
-		n.parked = append(n.parked, p)
-		return
+		p := &n.parked[len(n.parked)-1]
+		p.deadline, p.isCoV = prior.deadline, prior.isCoV
 	}
-	n.parked = append(n.parked, parkedProbe{src: src, msg: m})
 }
