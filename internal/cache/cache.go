@@ -113,7 +113,7 @@ type Cache struct {
 	// slice header per set keeps an unused cache small; each set's lines are
 	// their own allocation, so a *Line never moves (touched holds them).
 	setIdx   []uint32
-	sets     [][]Line
+	sets     [][]Line // past len: a rebuilt cache's old sets, spares
 	setMask  uint64
 	lruClock uint64
 
@@ -133,7 +133,11 @@ type Cache struct {
 
 // New creates a cache. SizeBytes must be a multiple of Ways*BlockBytes and
 // the resulting set count must be a power of two.
-func New(cfg Config) *Cache {
+func New(cfg Config) *Cache { return new(Cache).Init(cfg) }
+
+// Init empties c for cfg and returns it (DESIGN.md §2): a rebuilt cache keeps
+// its index and touched lists, and its sets as spares for materialize.
+func (c *Cache) Init(cfg Config) *Cache {
 	if cfg.Ways <= 0 {
 		panic("cache: ways must be positive")
 	}
@@ -145,12 +149,27 @@ func New(cfg Config) *Cache {
 	if nsets&(nsets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d is not a power of two", cfg.Name, nsets))
 	}
-	return &Cache{cfg: cfg, setIdx: make([]uint32, nsets), setMask: uint64(nsets - 1)}
+	old := *c
+	*c = Cache{
+		cfg:     cfg,
+		setIdx:  memtypes.Resize(old.setIdx, nsets),
+		sets:    old.sets[:0],
+		setMask: uint64(nsets - 1),
+	}
+	for e := range c.touched {
+		c.touched[e] = old.touched[e][:0]
+	}
+	return c
 }
 
-// materialize allocates a set's lines on first use (all invalid).
+// materialize allocates a set's lines on first use (all invalid), reusing
+// the spare past the end of sets if there is one.
 func (c *Cache) materialize(idx uint64) []Line {
-	set := make([]Line, c.cfg.Ways)
+	var set []Line
+	if k := len(c.sets); k < cap(c.sets) {
+		set = c.sets[:k+1][k]
+	}
+	set = memtypes.Resize(set, c.cfg.Ways)
 	c.sets = append(c.sets, set)
 	c.setIdx[idx] = uint32(len(c.sets))
 	return set

@@ -219,12 +219,30 @@ type Directory struct {
 
 // NewDirectory creates the directory slice for node id.
 func NewDirectory(id memtypes.NodeID, nodes int, mem *memctrl.Memory, port Port) *Directory {
-	return &Directory{
-		id:    id,
-		nodes: nodes,
-		mem:   mem,
-		port:  port,
+	return new(Directory).Init(id, nodes, mem, port)
+}
+
+// Init empties d as node id's slice and returns it (DESIGN.md §2): a rebuilt
+// directory frees every arena entry and clears its table at its grown size.
+func (d *Directory) Init(id memtypes.NodeID, nodes int, mem *memctrl.Memory, port Port) *Directory {
+	old := *d
+	*d = Directory{
+		id:     id,
+		nodes:  nodes,
+		mem:    mem,
+		port:   port,
+		table:  dirTable{keys: old.table.keys, vals: old.table.vals},
+		chunks: old.chunks,
+		active: old.active[:0],
 	}
+	clear(d.table.vals) // an empty slot is a nil value; keys are overwritten
+	for _, chunk := range d.chunks {
+		for i := range chunk {
+			chunk[i].freeNext = d.free
+			d.free = &chunk[i]
+		}
+	}
+	return d
 }
 
 // entryFor returns the live entry for a block, acquiring a pooled one (in

@@ -194,17 +194,21 @@ type Engine struct {
 }
 
 // New creates an engine.
-func New(cfg Config, host Host) *Engine {
+func New(cfg Config, host Host) *Engine { return new(Engine).Init(cfg, host) }
+
+// Init builds e as an idle engine for cfg and returns it (DESIGN.md §2).
+func (e *Engine) Init(cfg Config, host Host) *Engine {
 	if cfg.MaxCheckpoints <= 0 {
 		cfg.MaxCheckpoints = 1
 	}
 	if cfg.MaxCheckpoints > cache.MaxEpochs {
 		panic(fmt.Sprintf("core: MaxCheckpoints %d exceeds MaxEpochs %d", cfg.MaxCheckpoints, cache.MaxEpochs))
 	}
-	e := &Engine{cfg: cfg, host: host}
+	slots := 0
 	if cfg.Mode != ModeOff {
-		e.epochs = make([]epochState, cfg.MaxCheckpoints)
+		slots = cfg.MaxCheckpoints
 	}
+	*e = Engine{cfg: cfg, host: host, epochs: memtypes.Resize(e.epochs, slots), order: e.order[:0]}
 	return e
 }
 

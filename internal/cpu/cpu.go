@@ -237,6 +237,13 @@ type Core struct {
 
 // New creates a core running prog with the given initial register state.
 func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word, backend Backend) *Core {
+	return new(Core).Init(id, cfg, prog, regs, backend)
+}
+
+// Init builds c as a core about to fetch prog's first instruction and
+// returns it, reusing its ring, slot sets, predictor and queues (DESIGN.md
+// §2).
+func (c *Core) Init(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word, backend Backend) *Core {
 	if cfg.ROBSize <= 0 {
 		panic("cpu: ROB size must be positive")
 	}
@@ -252,22 +259,27 @@ func New(id int, cfg Config, prog *isa.Program, regs [isa.NumRegs]memtypes.Word,
 	}
 	n := robSlots(cfg, prog)
 	words := (n + 63) >> 6
-	sets := make(slotSet, 3*words)
-	c := &Core{
+	// One array backs the three slot sets; disp's capacity spans it, so a
+	// rebuild recovers it from disp.
+	sets := memtypes.Resize(c.disp[:cap(c.disp)], 3*words)
+	*c = Core{
 		cfg:      cfg,
 		id:       id,
 		prog:     prog,
 		backend:  backend,
-		rob:      make([]robEntry, n),
-		disp:     sets[:words:words],
+		archRegs: regs,
+		rob:      memtypes.Resize(c.rob, n),
+		loadQ:    slotQueue{buf: c.loadQ.buf[:0]},
+		storeQ:   slotQueue{buf: c.storeQ.buf[:0]},
+		execQ:    c.execQ[:0],
+		disp:     sets[:words],
 		ready:    sets[words : 2*words : 2*words],
 		pend:     sets[2*words:],
-		pred:     make([]uint8, preds),
+		pendMin:  memtypes.NoEvent,
+		pred:     memtypes.Resize(c.pred, preds),
 		predMask: uint32(preds - 1),
 	}
-	c.archRegs = regs
 	c.archRegs[isa.R0] = 0
-	c.pendMin = memtypes.NoEvent
 	for i := range c.rename {
 		c.rename[i] = -1
 	}

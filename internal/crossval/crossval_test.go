@@ -121,3 +121,21 @@ func TestReportDeterministic(t *testing.T) {
 		t.Errorf("MP/R crossval should contain a conservative cell:\n%s", a.String())
 	}
 }
+
+// TestRecycledWorkersMatchOne: litmus runs rebuild pooled systems in place
+// (litmus.Harness.RunSeed), so two workers pass recycled machines between
+// goroutines. The report must equal the one-worker report, and the sim-race
+// CI job runs this under the race detector.
+func TestRecycledWorkersMatchOne(t *testing.T) {
+	one, err := Run(Options{Workers: 1, Seeds: 16, Tests: []string{"SB", "MP"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, err := Run(Options{Workers: 2, Seeds: 16, Tests: []string{"SB", "MP"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if one.String() != two.String() {
+		t.Errorf("two-worker report differs from one-worker report:\n%s\n---\n%s", two.String(), one.String())
+	}
+}

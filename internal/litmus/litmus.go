@@ -13,6 +13,7 @@ package litmus
 
 import (
 	"fmt"
+	"sync"
 
 	"invisifence/internal/consistency"
 	"invisifence/internal/cpu"
@@ -711,6 +712,33 @@ var machine = sim.Machine{
 // result base), the simulation runs to completion, and the outcome is read
 // back from the result area plus any final-state slots.
 func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
+	cfg, progs := h.machine(spec, seed)
+	s, _ := systems.Get().(*sim.System)
+	if s == nil {
+		s = new(sim.System)
+	}
+	if r := s.Init(cfg, progs, nil).Run(); !r.Finished {
+		panic(fmt.Sprintf("litmus %s/%s seed %d did not finish", h.Name, spec.Name, seed))
+	}
+	o := h.outcome(s, seed)
+	systems.Put(s)
+	return o
+}
+
+// systems holds finished machines for RunSeed to rebuild in place: a run
+// of a few hundred cycles cost less to simulate than to build.
+var systems sync.Pool
+
+// haltProgram runs on every node without a thread; the simulator never
+// reads a program's name.
+var haltProgram = func() *isa.Program {
+	b := isa.NewBuilder("idle")
+	b.Halt()
+	return b.MustBuild()
+}()
+
+// machine assembles one seed's system configuration and per-node programs.
+func (h Harness) machine(spec ConfigSpec, seed int64) (sim.Config, []*isa.Program) {
 	nodes := 4
 	if len(h.Bodies) > nodes {
 		panic(fmt.Sprintf("litmus: %s has %d threads, max %d", h.Name, len(h.Bodies), nodes))
@@ -719,9 +747,7 @@ func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
 	progs := make([]*isa.Program, nodes)
 	for i := 0; i < nodes; i++ {
 		if i >= len(h.Bodies) {
-			b := isa.NewBuilder(fmt.Sprintf("%s-t%d", h.Name, i))
-			b.Halt()
-			progs[i] = b.MustBuild()
+			progs[i] = haltProgram
 			continue
 		}
 		// Seed-dependent start skew explores interleavings.
@@ -746,17 +772,17 @@ func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
 	cfg := m.Assemble(spec.Variant, seed)
 	cfg.MaxCycles = 500_000
 	cfg.WatchdogCycles = 100_000
-	s := sim.New(cfg, progs, nil)
-	r := s.Run()
-	if !r.Finished {
-		panic(fmt.Sprintf("litmus %s/%s seed %d did not finish", h.Name, spec.Name, seed))
-	}
+	return cfg, progs
+}
+
+// outcome reads seed's outcome back from a finished system.
+func (h Harness) outcome(s *sim.System, seed int64) Outcome {
 	var o Outcome
 	for i := 0; i < h.Slots; i++ {
 		o[i] = s.ReadWord(resultsAddr + memtypes.Addr(resOff(i)))
 	}
 	for j, v := range h.Finals {
-		o[h.Slots+j] = s.ReadWord(vbase + memtypes.Addr(varOff(v)))
+		o[h.Slots+j] = s.ReadWord(varsBase(seed) + memtypes.Addr(varOff(v)))
 	}
 	return o
 }

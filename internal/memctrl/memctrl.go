@@ -33,18 +33,23 @@ type Memory struct {
 }
 
 // New creates an empty memory with the given configuration.
-func New(cfg Config) *Memory {
+func New(cfg Config) *Memory { return new(Memory).Init(cfg) }
+
+// Init empties m for cfg and returns it (DESIGN.md §2).
+func (m *Memory) Init(cfg Config) *Memory {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
 	}
 	if cfg.AccessLatency == 0 {
 		cfg.AccessLatency = 1
 	}
-	return &Memory{
-		cfg:      cfg,
-		blocks:   make(map[memtypes.Addr]*memtypes.BlockData),
-		bankFree: make([]uint64, cfg.Banks),
+	blocks := m.blocks
+	if blocks == nil {
+		blocks = make(map[memtypes.Addr]*memtypes.BlockData)
 	}
+	clear(blocks)
+	*m = Memory{cfg: cfg, blocks: blocks, bankFree: memtypes.Resize(m.bankFree, cfg.Banks)}
+	return m
 }
 
 func (m *Memory) bank(a memtypes.Addr) int {

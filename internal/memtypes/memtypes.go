@@ -52,3 +52,15 @@ func WordIndex(a Addr) int { return int(a>>WordShift) & (WordsPerBlock - 1) }
 
 // SameBlock reports whether two addresses fall in the same cache block.
 func SameBlock(a, b Addr) bool { return BlockAddr(a) == BlockAddr(b) }
+
+// Resize returns s with length n and every element zero, reusing s's
+// backing array when it holds n: a component's Init sizes its tables with
+// it (DESIGN.md §2).
+func Resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}

@@ -59,7 +59,7 @@ func sharedDraws(seed, bound int64) *drawSeq {
 
 // jitterDraws is one network's cursor into its jitter sequence. It looks
 // nothing up until its first draw, so a network that never sends pays
-// nothing.
+// nothing. A rebuilt network re-seeds its old private generator.
 type jitterDraws struct {
 	seed, bound int64
 	seq         *drawSeq
@@ -77,11 +77,16 @@ func (d *jitterDraws) draw() int64 {
 		d.next++
 		return v
 	}
-	if d.tail == nil {
-		d.tail = rand.New(rand.NewSource(d.seed))
+	if d.next == jitterPrefix {
+		if d.tail == nil {
+			d.tail = rand.New(rand.NewSource(d.seed))
+		} else {
+			d.tail.Seed(d.seed)
+		}
 		for i := 0; i < jitterPrefix; i++ {
 			d.tail.Int63n(d.bound)
 		}
+		d.next++
 	}
 	return d.tail.Int63n(d.bound)
 }

@@ -22,6 +22,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 
 	"invisifence/internal/coherence"
 	"invisifence/internal/memtypes"
@@ -145,15 +146,15 @@ func (b *inbox) pop() *Message {
 // the one-cluster event loop and the lock-step loop drive it from a single
 // goroutine.
 //
-// A shard (NewShard) owns a subset of the nodes: it carries the in-flight
-// heap and inboxes for messages destined to its own nodes, and the per-pair
-// FIFO state for messages sent by its own nodes. Sends to foreign nodes are
-// timestamped locally (arrival cycle, FIFO bump, per-source sequence) and
-// parked in an outbox; the event loop's coordinator moves them into the
-// owning shard with Inject at an epoch barrier, before any cycle at which
-// they could arrive (see internal/sim's event loop and DESIGN.md §7).
-// Distinct shards never share mutable state, so each may be driven by its
-// own goroutine between barriers.
+// A shard (Init with an owned set) owns a subset of the nodes: it carries
+// the in-flight heap and inboxes for messages destined to its own nodes, and
+// the per-pair FIFO state for messages sent by its own nodes. Sends to
+// foreign nodes are timestamped locally (arrival cycle, FIFO bump,
+// per-source sequence) and parked in an outbox; the event loop's
+// coordinator moves them into the owning shard with Inject at an epoch
+// barrier, before any cycle at which they could arrive (see internal/sim's
+// event loop and DESIGN.md §7). Distinct shards never share mutable state,
+// so each may be driven by its own goroutine between barriers.
 type Network struct {
 	cfg     Config
 	now     uint64
@@ -205,7 +206,13 @@ type Network struct {
 }
 
 // New creates a network with the given configuration.
-func New(cfg Config) *Network {
+func New(cfg Config) *Network { return new(Network).Init(cfg, nil) }
+
+// Init empties n for cfg — the whole torus when owned is nil, else the
+// shard of the owned nodes — keeping its buffers, and returns it (DESIGN.md
+// §2). Shards reject jitter: its RNG is consumed in global send order,
+// which only a whole-torus network reproduces.
+func (n *Network) Init(cfg Config, owned []bool) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic(fmt.Sprintf("network: bad dimensions %dx%d", cfg.Width, cfg.Height))
 	}
@@ -216,37 +223,42 @@ func New(cfg Config) *Network {
 		cfg.LocalLatency = 1
 	}
 	nodes := cfg.Width * cfg.Height
-	n := &Network{
+	if owned != nil {
+		if cfg.Jitter > 0 {
+			panic("network: shards do not support jitter (global RNG order)")
+		}
+		if len(owned) != nodes {
+			panic(fmt.Sprintf("network: owned set covers %d of %d nodes", len(owned), nodes))
+		}
+	}
+	old := *n
+	*n = Network{
 		cfg:        cfg,
-		inboxes:    make([]inbox, nodes),
-		lastArrive: make([]uint64, nodes*nodes),
+		flight:     old.flight[:0],
+		inboxes:    slices.Grow(old.inboxes[:0], nodes)[:nodes],
+		outbox:     old.outbox[:0],
+		outboxAlt:  old.outboxAlt[:0],
+		lastArrive: memtypes.Resize(old.lastArrive, nodes*nodes),
+		jitter:     jitterDraws{tail: old.jitter.tail},
+	}
+	for i := range n.inboxes {
+		n.inboxes[i] = inbox{q: n.inboxes[i].q[:0]}
+	}
+	if owned != nil {
+		n.sharded = true
+		n.owned = append(old.owned[:0], owned...)
+		n.srcSeq = memtypes.Resize(old.srcSeq, nodes)
 	}
 	if cfg.LinkBandwidth > 0 {
-		n.linkFreeAt = make([]uint64, nodes*numLinks)
-		n.linkWindows = make([]endRing, nodes*numLinks)
+		n.linkFreeAt = memtypes.Resize(old.linkFreeAt, nodes*numLinks)
+		n.linkWindows = slices.Grow(old.linkWindows[:0], nodes*numLinks)[:nodes*numLinks]
+		for i := range n.linkWindows {
+			n.linkWindows[i] = endRing{q: n.linkWindows[i].q[:0]}
+		}
 	}
 	if cfg.Jitter > 0 {
-		n.jitter = jitterDraws{seed: cfg.Seed, bound: int64(cfg.Jitter) + 1}
+		n.jitter.seed, n.jitter.bound = cfg.Seed, int64(cfg.Jitter)+1
 	}
-	return n
-}
-
-// NewShard creates one cluster's partition of the torus: a Network that
-// simulates only the nodes with owned[id] == true. Jitter is rejected — its
-// RNG is consumed in global send order, which shards cannot reproduce; the
-// event loop runs jittered systems as one cluster over a whole-torus
-// network, whose node ticks draw it in that order.
-func NewShard(cfg Config, owned []bool) *Network {
-	if cfg.Jitter > 0 {
-		panic("network: shards do not support jitter (global RNG order)")
-	}
-	n := New(cfg)
-	if len(owned) != n.Nodes() {
-		panic(fmt.Sprintf("network: owned set covers %d of %d nodes", len(owned), n.Nodes()))
-	}
-	n.sharded = true
-	n.owned = append([]bool(nil), owned...)
-	n.srcSeq = make([]uint64, n.Nodes())
 	return n
 }
 
@@ -588,57 +600,64 @@ func (n *Network) Pending() int {
 // barrier cannot perturb delivery determinism.
 type msgHeap []Message
 
-func (h msgHeap) less(i, j int, composite bool) bool {
-	if h[i].arrive != h[j].arrive {
-		return h[i].arrive < h[j].arrive
+// before reports whether a is delivered before b: the heap order.
+func before(a, b *Message, composite bool) bool {
+	if a.arrive != b.arrive {
+		return a.arrive < b.arrive
 	}
 	if composite {
-		if h[i].sent != h[j].sent {
-			return h[i].sent < h[j].sent
+		if a.sent != b.sent {
+			return a.sent < b.sent
 		}
-		if h[i].Src != h[j].Src {
-			return h[i].Src < h[j].Src
+		if a.Src != b.Src {
+			return a.Src < b.Src
 		}
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
+// push and pop sift a hole rather than swapping: each level moves one
+// Message, and the sifted message is written once, where it lands. The key
+// is a total order (seq is unique), so the array ends up exactly as the
+// swapping sift left it.
 func (h *msgHeap) push(m Message, composite bool) {
 	*h = append(*h, m)
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !q.less(i, parent, composite) {
+		if !before(&m, &q[parent], composite) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		q[i] = q[parent]
 		i = parent
 	}
+	q[i] = m
 }
 
 // pop removes the minimum, q[0]; callers read it there first.
 func (h *msgHeap) pop(composite bool) {
 	q := *h
 	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last] // no zeroing: Message is pointer-free
-
+	m := &q[last] // cut off below, never overwritten
+	q = q[:last]  // no zeroing: Message is pointer-free
 	*h = q
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(q) && q.less(l, smallest, composite) {
-			smallest = l
-		}
-		if r < len(q) && q.less(r, smallest, composite) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= len(q) {
 			break
 		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
+		if r := c + 1; r < len(q) && before(&q[r], &q[c], composite) {
+			c = r
+		}
+		if !before(&q[c], m, composite) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	if len(q) > 0 {
+		q[i] = *m
 	}
 }

@@ -238,8 +238,8 @@ func TestShardOrderingMatchesSerial(t *testing.T) {
 		// Shard A owns {0,1}, shard B owns {2,3}; exchange every cycle
 		// (valid: min cross-shard latency >= 1).
 		shards := [2]*Network{
-			NewShard(cfg, []bool{true, true, false, false}),
-			NewShard(cfg, []bool{false, false, true, true}),
+			new(Network).Init(cfg, []bool{true, true, false, false}),
+			new(Network).Init(cfg, []bool{false, false, true, true}),
 		}
 		shardOf := func(id NodeID) int {
 			if id < 2 {
@@ -294,10 +294,10 @@ func TestShardOrderingMatchesSerial(t *testing.T) {
 func TestShardRejectsJitter(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewShard accepted a jittered config")
+			t.Fatal("Init accepted a jittered shard config")
 		}
 	}()
-	NewShard(Config{Width: 2, Height: 2, HopLatency: 5, Jitter: 2}, []bool{true, true, false, false})
+	new(Network).Init(Config{Width: 2, Height: 2, HopLatency: 5, Jitter: 2}, []bool{true, true, false, false})
 }
 
 // ------------------------------------------------------- link contention
@@ -503,8 +503,8 @@ func TestShardContentionMatchesSerial(t *testing.T) {
 	}
 
 	shards := [2]*Network{
-		NewShard(cfg, []bool{true, true, false, false}),
-		NewShard(cfg, []bool{false, false, true, true}),
+		new(Network).Init(cfg, []bool{true, true, false, false}),
+		new(Network).Init(cfg, []bool{false, false, true, true}),
 	}
 	shardOf := func(id NodeID) int {
 		if id < 2 {

@@ -167,17 +167,42 @@ type Node struct {
 // New builds a node. The workload program and initial registers seed the
 // core.
 func New(cfg Config, net *network.Network, prog *isa.Program, regs [isa.NumRegs]memtypes.Word) *Node {
+	return new(Node).Init(cfg, net, prog, regs)
+}
+
+// Init builds n for cfg and returns it (DESIGN.md §2): a rebuilt node
+// rebuilds its components in place, clears its maps and keeps its slices'
+// backing arrays.
+func (n *Node) Init(cfg Config, net *network.Network, prog *isa.Program, regs [isa.NumRegs]memtypes.Word) *Node {
 	if cfg.MsgsPerCycle <= 0 {
 		cfg.MsgsPerCycle = 8
 	}
-	n := &Node{
+	old := *n
+	clear(old.mshrs)
+	clear(old.setPending)
+	clear(old.wbBuf)
+	clear(old.cleanings)
+	clear(old.fillHold)
+	clear(old.parkedFills)
+	*n = Node{
 		id:                 cfg.ID,
 		nodes:              cfg.Nodes,
 		net:                net,
-		mem:                memctrl.New(cfg.Memory),
-		l1:                 cache.New(cfg.L1),
-		l2:                 cache.New(cfg.L2),
-		st:                 &stats.NodeStats{},
+		mem:                renew(old.mem).Init(cfg.Memory),
+		l1:                 renew(old.l1).Init(cfg.L1),
+		l2:                 renew(old.l2).Init(cfg.L2),
+		st:                 renew(old.st),
+		mshrs:              old.mshrs,
+		mshrOrder:          old.mshrOrder[:0],
+		mshrFree:           append(old.mshrFree, old.mshrOrder...),
+		setPending:         old.setPending,
+		wbBuf:              old.wbBuf,
+		cleanings:          old.cleanings,
+		cleanList:          old.cleanList[:0],
+		fillHold:           old.fillHold,
+		parked:             old.parked[:0],
+		parkedScratch:      old.parkedScratch[:0],
+		parkedFills:        old.parkedFills,
 		model:              cfg.Model,
 		snoopLQ:            cfg.SnoopLQ,
 		accounting:         true,
@@ -186,15 +211,24 @@ func New(cfg Config, net *network.Network, prog *isa.Program, regs [isa.NumRegs]
 		storePrefetchDepth: cfg.StorePrefetchDepth,
 		fillHoldCycles:     cfg.FillHoldCycles,
 	}
-	n.dir = coherence.NewDirectory(cfg.ID, cfg.Nodes, n.mem, net)
+	*n.st = stats.NodeStats{}
+	n.dir = renew(old.dir).Init(cfg.ID, cfg.Nodes, n.mem, net)
 	if cfg.UsesFIFOSB() {
-		n.fifoSB = storebuffer.NewFIFO(cfg.SBCapacity)
+		n.fifoSB = renew(old.fifoSB).Init(cfg.SBCapacity)
 	} else {
-		n.coalSB = storebuffer.NewCoalescing(cfg.SBCapacity)
+		n.coalSB = renew(old.coalSB).Init(cfg.SBCapacity)
 	}
-	n.engine = ifcore.New(cfg.Engine, n)
-	n.core = cpu.New(int(cfg.ID), cfg.Core, prog, regs, n)
+	n.engine = renew(old.engine).Init(cfg.Engine, n)
+	n.core = renew(old.core).Init(int(cfg.ID), cfg.Core, prog, regs, n)
 	return n
+}
+
+// renew returns p, or a new zero T when p is nil.
+func renew[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
 }
 
 // Directory exposes the node's home-directory slice (tests).

@@ -87,8 +87,10 @@ type cluster struct {
 // cycle safe (F >= safe), so pausing earlier is never necessary.
 type clusterCmd struct{ safe, limit uint64 }
 
-func newCluster(idx int, shard *network.Network, all []*node.Node, ids []int) *cluster {
-	c := &cluster{idx: idx, shard: shard}
+// init builds c as cluster idx over shard and the nodes ids of all,
+// keeping c's slices' backing arrays, and returns it.
+func (c *cluster) init(idx int, shard *network.Network, all []*node.Node, ids []int) *cluster {
+	*c = cluster{idx: idx, shard: shard, nodes: c.nodes[:0], ids: c.ids[:0], lastTick: c.lastTick[:0], horizon: c.horizon[:0]}
 	for _, id := range ids {
 		c.nodes = append(c.nodes, all[id])
 		c.ids = append(c.ids, network.NodeID(id))
@@ -209,10 +211,11 @@ func (c *cluster) flushLag(to uint64) {
 // fast-forwards whole-system idle stretches, and resolves the exact finish
 // cycle. With one cluster it runs everything inline.
 func (s *System) runEvents() Result {
-	clusters := make([]*cluster, len(s.shards))
+	clusters := s.clusters[:0]
 	for ci := range s.shards {
-		clusters[ci] = newCluster(ci, s.shards[ci], s.nodes, s.clusterNodes[ci])
+		clusters = append(clusters, reuse(s.clusters, ci).init(ci, s.shards[ci], s.nodes, s.clusterNodes[ci]))
 	}
+	s.clusters = clusters
 	if len(clusters) > 1 {
 		for _, c := range clusters {
 			c.cmds = make(chan clusterCmd)

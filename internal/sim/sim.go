@@ -87,6 +87,7 @@ type System struct {
 	clusterNodes [][]int
 	clusterOf    []int
 	xferScratch  [][]network.Message // barrier-exchange regrouping buffers
+	clusters     []*cluster          // the event loop's, kept for a rebuild
 
 	// runnerStats accumulates event-loop telemetry (kept out of Result so
 	// both runners produce deeply-equal Results).
@@ -111,23 +112,37 @@ func clusterCount(cfg Config, nnodes int) int {
 // New builds the system. programs[i] runs on node i; regs[i] seeds its
 // registers (thread id, argument pointers).
 func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word) *System {
+	return new(System).Init(cfg, programs, regs)
+}
+
+// Init builds s as New would and returns it, rebuilding a finished
+// system's networks and nodes in place (DESIGN.md §2). A Result's PerNode
+// pointers are valid only until its System's next Init.
+func (s *System) Init(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word) *System {
 	nnodes := cfg.Net.Width * cfg.Net.Height
 	if len(programs) != nnodes {
 		panic(fmt.Sprintf("sim: %d programs for %d nodes", len(programs), nnodes))
 	}
 	k := clusterCount(cfg, nnodes)
-	s := &System{cfg: cfg, clusterNodes: partition(nnodes, k), clusterOf: make([]int, nnodes)}
-	if k == 1 {
-		s.shards = []*network.Network{network.New(cfg.Net)}
-	} else {
-		for c, ids := range s.clusterNodes {
-			owned := make([]bool, nnodes)
+	old := *s
+	*s = System{
+		cfg:          cfg,
+		nodes:        old.nodes[:0],
+		shards:       old.shards[:0],
+		clusterNodes: partition(nnodes, k),
+		clusterOf:    memtypes.Resize(old.clusterOf, nnodes),
+		clusters:     old.clusters,
+	}
+	for c, ids := range s.clusterNodes {
+		var owned []bool
+		if k > 1 {
+			owned = make([]bool, nnodes)
 			for _, id := range ids {
 				owned[id] = true
 				s.clusterOf[id] = c
 			}
-			s.shards = append(s.shards, network.NewShard(cfg.Net, owned))
 		}
+		s.shards = append(s.shards, reuse(old.shards, c).Init(cfg.Net, owned))
 	}
 	for i := 0; i < nnodes; i++ {
 		nc := cfg.Node
@@ -137,9 +152,17 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 		if regs != nil {
 			r = regs[i]
 		}
-		s.nodes = append(s.nodes, node.New(nc, s.shards[s.clusterOf[i]], programs[i], r))
+		s.nodes = append(s.nodes, reuse(old.nodes, i).Init(nc, s.shards[s.clusterOf[i]], programs[i], r))
 	}
 	return s
+}
+
+// reuse returns old[i] if the previous build had one, else a new zero T.
+func reuse[T any](old []*T, i int) *T {
+	if i < len(old) && old[i] != nil {
+		return old[i]
+	}
+	return new(T)
 }
 
 // partition splits n node indices into k contiguous, balanced clusters. On

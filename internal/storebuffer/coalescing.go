@@ -42,8 +42,13 @@ type Coalescing struct {
 }
 
 // NewCoalescing creates a coalescing store buffer with the given capacity.
-func NewCoalescing(capacity int) *Coalescing {
-	return &Coalescing{capacity: capacity}
+func NewCoalescing(capacity int) *Coalescing { return new(Coalescing).Init(capacity) }
+
+// Init empties c for capacity, freeing its entries, and returns it
+// (DESIGN.md §2).
+func (c *Coalescing) Init(capacity int) *Coalescing {
+	*c = Coalescing{entries: c.entries[:0], capacity: capacity, free: append(c.free, c.entries...)}
+	return c
 }
 
 // Full reports whether a store needing a fresh entry would fail.

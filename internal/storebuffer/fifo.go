@@ -36,8 +36,12 @@ type FIFO struct {
 }
 
 // NewFIFO creates a FIFO store buffer with the given entry capacity.
-func NewFIFO(capacity int) *FIFO {
-	return &FIFO{capacity: capacity}
+func NewFIFO(capacity int) *FIFO { return new(FIFO).Init(capacity) }
+
+// Init empties f for capacity and returns it (DESIGN.md §2).
+func (f *FIFO) Init(capacity int) *FIFO {
+	*f = FIFO{entries: f.entries[:0], capacity: capacity, prefetchBuf: f.prefetchBuf[:0]}
+	return f
 }
 
 // Full reports whether a push would fail.
