@@ -209,80 +209,58 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bench:", err)
 		os.Exit(1)
 	}
-	for _, wl := range wls {
-		for _, vn := range vns {
-			v, err := invisifence.VariantByName(strings.TrimSpace(vn))
-			if err != nil {
-				fail(err)
-			}
-			cfg := invisifence.DefaultConfig()
-			cfg.Workload = strings.TrimSpace(wl)
-			cfg.Variant = v
-			cfg.Scale = *scale
-			cfg.Clusters = *clusters
-			r, err := measure(cfg, *iters)
-			if err != nil {
-				fail(err)
-			}
-			file.Runs = append(file.Runs, r)
-			fmt.Fprintf(os.Stderr, "%-12s %-12s %9d cycles  %12d ns/run  %10.0f cycles/s  %8d allocs\n",
-				r.Workload, r.Variant, r.SimCycles, r.NsPerRun, r.CyclesPerSec, r.AllocsPerRun)
-		}
-	}
-
-	// Contention smoke cells: the SC-vs-Invisi_sc reference pair under a
-	// congested torus, so the contention model's wall-clock cost and its
-	// queuing-delay telemetry ride every BENCH file (and the -quick CI
-	// artifact). benchdiff keys these cells by their link_bandwidth, apart
-	// from the latency-only grid. A filtered invocation (-workloads or
-	// -variants) is a targeted measurement, not the reference grid, so the
-	// extras are skipped — same spirit as -no-reference for the
-	// scheduler-trajectory cells.
-	if *linkbw > 0 && *workloads == "" && *variants == "sc,invisi-sc" {
-		for _, vn := range []string{"sc", "invisi-sc"} {
-			v, err := invisifence.VariantByName(vn)
-			if err != nil {
-				fail(err)
-			}
-			cfg := invisifence.DefaultConfig()
-			cfg.Workload = "apache"
-			cfg.Variant = v
-			cfg.Scale = *scale
-			cfg.Clusters = *clusters
-			cfg.Machine.LinkBandwidth = *linkbw
-			r, err := measure(cfg, *iters)
-			if err != nil {
-				fail(err)
-			}
-			file.Runs = append(file.Runs, r)
-			fmt.Fprintf(os.Stderr, "%-12s %-12s %9d cycles  %12d ns/run  %10.0f cycles/s  qdelay/msg %.1f  (linkbw %d)\n",
-				r.Workload, r.Variant, r.SimCycles, r.NsPerRun, r.CyclesPerSec, r.QueueDelayPerMsg, r.LinkBandwidth)
-		}
-	}
-
-	// Release-consistency smoke cell: apache under speculation-over-RC
-	// (Invisi_rc), so the RC retirement paths — annotated sync library,
-	// release-triggered speculation, draining atomics — leave a measured
-	// wall-clock point in every BENCH file and the -quick CI artifact for
-	// benchdiff to track. Skipped on filtered invocations like the other
-	// extras.
-	if *workloads == "" && *variants == "sc,invisi-sc" {
-		v, err := invisifence.VariantByName("invisi-rc")
+	// The measured cells, in BENCH order: the grid, then — on the
+	// unfiltered reference grid only — the contention and RC smoke cells.
+	// A filtered invocation (-workloads or -variants) is a targeted
+	// measurement, so the extras are skipped, in the spirit of
+	// -no-reference for the scheduler-trajectory cells.
+	var cells []invisifence.Config
+	add := func(workload, variant string, linkbw uint64) {
+		v, err := invisifence.VariantByName(strings.TrimSpace(variant))
 		if err != nil {
 			fail(err)
 		}
 		cfg := invisifence.DefaultConfig()
-		cfg.Workload = "apache"
+		cfg.Workload = strings.TrimSpace(workload)
 		cfg.Variant = v
 		cfg.Scale = *scale
 		cfg.Clusters = *clusters
+		cfg.Machine.LinkBandwidth = linkbw
+		cells = append(cells, cfg)
+	}
+	for _, wl := range wls {
+		for _, vn := range vns {
+			add(wl, vn, 0)
+		}
+	}
+	if *workloads == "" && *variants == "sc,invisi-sc" {
+		// Contention smoke cells: the SC-vs-Invisi_sc reference pair under
+		// a congested torus, so the contention model's wall-clock cost and
+		// its queuing-delay telemetry ride every BENCH file (and the -quick
+		// CI artifact). benchdiff keys these cells by their link_bandwidth,
+		// apart from the latency-only grid.
+		if *linkbw > 0 {
+			add("apache", "sc", *linkbw)
+			add("apache", "invisi-sc", *linkbw)
+		}
+		// Release-consistency smoke cell: apache under speculation-over-RC
+		// (Invisi_rc), so the RC retirement paths — annotated sync library,
+		// release-triggered speculation, draining atomics — leave a
+		// measured wall-clock point for benchdiff to track.
+		add("apache", "invisi-rc", 0)
+	}
+	for _, cfg := range cells {
 		r, err := measure(cfg, *iters)
 		if err != nil {
 			fail(err)
 		}
 		file.Runs = append(file.Runs, r)
-		fmt.Fprintf(os.Stderr, "%-12s %-12s %9d cycles  %12d ns/run  %10.0f cycles/s  %8d allocs\n",
-			r.Workload, r.Variant, r.SimCycles, r.NsPerRun, r.CyclesPerSec, r.AllocsPerRun)
+		extra := fmt.Sprintf("%8d allocs", r.AllocsPerRun)
+		if r.LinkBandwidth > 0 {
+			extra = fmt.Sprintf("qdelay/msg %.1f  (linkbw %d)", r.QueueDelayPerMsg, r.LinkBandwidth)
+		}
+		fmt.Fprintf(os.Stderr, "%-12s %-12s %9d cycles  %12d ns/run  %10.0f cycles/s  %s\n",
+			r.Workload, r.Variant, r.SimCycles, r.NsPerRun, r.CyclesPerSec, extra)
 	}
 
 	if !*noRef {

@@ -624,12 +624,3 @@ func (d *Directory) Owner(a memtypes.Addr) (memtypes.NodeID, bool) {
 	}
 	return e.owner, true
 }
-
-// Sharers returns the sharer bitmask if the block is in the Shared state.
-func (d *Directory) Sharers(a memtypes.Addr) uint64 {
-	e := d.table.get(memtypes.BlockAddr(a))
-	if e == nil {
-		return 0
-	}
-	return e.sharers
-}

@@ -347,6 +347,94 @@ func (n *Node) completeCleanings() {
 	n.cleanList = live
 }
 
+// drainStep is what the store-buffer drain does next with one buffered
+// store, as the read-only drain rules below name it: ownStep (the FIFO
+// head and its prefetches) and classifyEntry (the coalescing buffer).
+type drainStep uint8
+
+const (
+	drainWait    drainStep = iota // nothing, until an event tracked elsewhere (a fill, a freed miss, a cleaning, a commit)
+	drainRequest                  // request the block with ownership
+	drainClean                    // start a cleaning writeback of the block (§3.2)
+	drainWrite                    // write the store into the L1 line
+)
+
+// ownStep is the rule both organizations share for the block a buffered
+// store needs: write it while the L1 line is writable, else request
+// ownership unless a miss for the block is outstanding or no fill can be
+// allocated (requestBlock would do nothing), else wait.
+func (n *Node) ownStep(block memtypes.Addr) (drainStep, *cache.Line) {
+	line := n.l1.Peek(block)
+	switch {
+	case line != nil && line.State.Writable():
+		return drainWrite, line
+	case n.mshrs[block] != nil || !n.canAllocateFill(block):
+		return drainWait, nil
+	}
+	return drainRequest, nil
+}
+
+// prefetchBlocks returns the FIFO's store-prefetch candidates (§6.1): the
+// distinct blocks of the entries up to storePrefetchDepth from the head,
+// or none while prefetching is off or fewer than four MSHRs are free. The
+// headroom is judged once per drain, before any request. A candidate is
+// prefetched when its ownStep is drainRequest.
+func (n *Node) prefetchBlocks() []memtypes.Addr {
+	if n.storePrefetchDepth <= 0 || len(n.mshrs) >= n.maxMSHRs-4 {
+		return nil
+	}
+	return n.fifoSB.PrefetchBlocks(n.storePrefetchDepth)
+}
+
+// classifyEntry is the coalescing buffer's drain rule for entry e. The
+// line it returns is the entry's L1 line when the step is drainClean or
+// drainWrite.
+func (n *Node) classifyEntry(e *storebuffer.CoalescingEntry) (drainStep, *cache.Line) {
+	// A remote miss is checked first, so an entry pinned behind one costs
+	// one lookup: until the fill that frees the miss, the line is not
+	// writable and requestBlock does nothing. A local L2 serve can overlap
+	// a writable line (a store buffered behind an older entry for its
+	// block requests one), and a probe can take a line mid-cleaning, after
+	// which the entry requests the block again; so neither is a wait
+	// before the line is looked at.
+	if m := n.mshrs[e.Block]; m != nil && !m.fromL2 {
+		return drainWait, nil
+	}
+	// Per-block age order: an older entry for the same block drains first.
+	if !n.coalSB.IsOldestForBlock(e) {
+		return drainWait, nil
+	}
+	step, line := n.ownStep(e.Block)
+	if step != drainWrite {
+		return step, nil
+	}
+	if _, cleaning := n.cleanings[e.Block]; cleaning {
+		return drainWait, nil
+	}
+	if e.Epoch == storebuffer.NonSpecEpoch {
+		return drainWrite, line
+	}
+	// A buffered speculative store's epoch is active: the engine commits
+	// an epoch only once SBEpochDrained holds (oldestCommittable and
+	// TryCommitAllNow both check it), which needs every entry of the
+	// epoch gone, and an abort flash-invalidates the epoch's entries.
+	age := n.engine.EpochAge(e.Epoch)
+	n.invariantAddr(age >= 0, "buffered store of an inactive epoch", e.Block)
+	// Hold-back rule (§3.1): a younger epoch's store to a block written by
+	// an older active epoch waits for the older commit.
+	for _, older := range n.engine.ActiveEpochs()[:age] {
+		if line.SpecWritten(older) {
+			return drainWait, nil
+		}
+	}
+	// First speculative store to a non-speculatively-dirty block: cleaning
+	// writeback first (§3.2).
+	if line.State == cache.Modified && !line.SpecWrittenAny() {
+		return drainClean, line
+	}
+	return drainWrite, line
+}
+
 // drainStoreBuffer writes eligible store-buffer entries into the L1 and
 // requests ownership for the rest.
 func (n *Node) drainStoreBuffer() {
@@ -362,41 +450,19 @@ func (n *Node) drainStoreBuffer() {
 func (n *Node) drainFIFO() {
 	if e := n.fifoSB.Head(); e != nil {
 		block := memtypes.BlockAddr(e.Addr)
-		line := n.l1.Peek(block)
-		if line != nil && line.State.Writable() {
+		switch step, line := n.ownStep(block); step {
+		case drainWrite:
 			line.Data[memtypes.WordIndex(e.Addr)] = e.Val
 			line.State = cache.Modified
 			n.fifoSB.Pop()
-		} else {
+		case drainRequest:
 			n.requestBlock(block, true)
 		}
 	}
-	n.storePrefetches(func(block memtypes.Addr) bool {
-		if n.requestBlock(block, true) {
+	for _, block := range n.prefetchBlocks() {
+		if step, _ := n.ownStep(block); step == drainRequest {
+			n.requestBlock(block, true)
 			n.Prefetches++
-		}
-		return true
-	})
-}
-
-// storePrefetches is the FIFO's store-prefetch rule (§6.1): it calls
-// request for each upcoming buffered block that has no MSHR and no
-// writable L1 copy, in buffer order, until request returns false. The
-// MSHR-headroom check is made once, up front. drainFIFO issues the
-// requests; sbNextEvent only asks whether there is one.
-func (n *Node) storePrefetches(request func(block memtypes.Addr) bool) {
-	if n.storePrefetchDepth <= 0 || len(n.mshrs) >= n.maxMSHRs-4 {
-		return
-	}
-	for _, block := range n.fifoSB.PrefetchBlocks(n.storePrefetchDepth) {
-		if _, ok := n.mshrs[block]; ok {
-			continue
-		}
-		if line := n.l1.Peek(block); line != nil && line.State.Writable() {
-			continue
-		}
-		if !request(block) {
-			return
 		}
 	}
 }
@@ -409,76 +475,38 @@ func (n *Node) storePrefetches(request func(block memtypes.Addr) bool) {
 // ownership after the external request is served).
 func (n *Node) drainCoalescing(block memtypes.Addr, maxDrains int, nonspecOnly bool) {
 	drained := 0
-	entries := n.coalSB.Entries()
-	for i := 0; i < len(entries) && (maxDrains == 0 || drained < maxDrains); i++ {
-		e := entries[i]
-		if block != 0 && e.Block != block {
+	for i := 0; i < n.coalSB.Len() && (maxDrains == 0 || drained < maxDrains); i++ {
+		e := n.coalSB.Entries()[i]
+		if (block != 0 && e.Block != block) || (nonspecOnly && e.Epoch != storebuffer.NonSpecEpoch) {
 			continue
 		}
-		if nonspecOnly && e.Epoch != storebuffer.NonSpecEpoch {
-			continue
-		}
-		if n.drainEntry(e) {
+		switch step, line := n.classifyEntry(e); step {
+		case drainRequest:
+			n.requestBlock(e.Block, true)
+		case drainClean:
+			n.startCleaning(e.Block)
+		case drainWrite:
+			n.writeEntry(e, line)
 			drained++
-			entries = n.coalSB.Entries()
 			i--
 		}
 	}
 }
 
-// drainEntry attempts to write one coalescing-buffer entry into the L1.
-func (n *Node) drainEntry(e *storebuffer.CoalescingEntry) bool {
-	// Per-block age order: an older entry for the same block drains first.
-	if !n.coalSB.IsOldestForBlock(e) {
-		return false
-	}
-	line := n.l1.Peek(e.Block)
-	if line == nil || !line.State.Writable() {
-		// L1 may lack the block while the L2 owns it (L1 victim earlier).
-		n.requestBlock(e.Block, true)
-		return false
-	}
-	if _, cleaning := n.cleanings[e.Block]; cleaning {
-		return false
-	}
-	spec := e.Epoch != storebuffer.NonSpecEpoch
-	if spec {
-		// Hold-back rule (§3.1): a younger epoch's store to a block written
-		// by an older active epoch waits for the older commit.
-		age := n.engine.EpochAge(e.Epoch)
-		if age < 0 {
-			// Its epoch is gone (aborted entries are flushed, committed
-			// epochs drain first); treat as non-speculative remainder.
-			spec = false
-		} else {
-			for _, older := range n.engine.ActiveEpochs()[:age] {
-				if line.SpecWritten(older) {
-					return false
-				}
-			}
-		}
-		// First speculative store to a non-speculatively-dirty block:
-		// cleaning writeback first (§3.2).
-		if coherence.TraceOn() {
-			coherence.TraceEvent(n.now, e.Block, "node%d drainCheck epoch=%d spec=%v state=%v writtenAny=%v readAny=%v", n.id, e.Epoch, spec, line.State, line.SpecWrittenAny(), line.SpecReadAny())
-		}
-		if spec && line.State == cache.Modified && !line.SpecWrittenAny() {
-			n.startCleaning(e.Block)
-			return false
-		}
-	}
+// writeEntry writes coalescing entry e into its writable L1 line and
+// removes it from the buffer.
+func (n *Node) writeEntry(e *storebuffer.CoalescingEntry, line *cache.Line) {
 	for w := 0; w < memtypes.WordsPerBlock; w++ {
 		if e.Valid[w] {
 			line.Data[w] = e.Words[w]
 		}
 	}
 	line.State = cache.Modified
-	if spec {
+	if e.Epoch != storebuffer.NonSpecEpoch {
 		n.l1.MarkSpecWritten(line, e.Epoch)
 	}
 	if coherence.TraceOn() {
 		coherence.TraceEvent(n.now, e.Block, "node%d drain entry epoch=%d w0=%d(valid=%v)", n.id, e.Epoch, e.Words[0], e.Valid[0])
 	}
 	n.coalSB.Remove(e)
-	return true
 }

@@ -11,6 +11,10 @@
 // attempt into a headPlan, and apply performs what the plan names. The
 // event loop's wake hint (NextEvent) and skip replay (SkipCycles) read the
 // same plan for the ROB head, so the policy is written once (backend.go).
+// The store-buffer drain is classify-then-apply in the same way: the drain
+// and the probe path's drain-before-respond apply each organization's
+// read-only drain rule, and NextEvent's store-buffer term only reads it
+// (memory.go).
 package node
 
 import (
@@ -463,38 +467,27 @@ func (n *Node) HeadPlan() string {
 	return "none"
 }
 
-// sbNextEvent reports when the store-buffer drain engine would next act.
+// sbNextEvent reports when the store-buffer drain would next act: next
+// cycle if some entry's drain step is not a wait (memory.go), else never
+// on its own.
 func (n *Node) sbNextEvent() uint64 {
 	if n.fifoSB != nil {
 		if e := n.fifoSB.Head(); e != nil {
-			block := memtypes.BlockAddr(e.Addr)
-			if line := n.l1.Peek(block); line != nil && line.State.Writable() {
-				return n.now + 1 // head drains next cycle
-			}
-			if _, ok := n.mshrs[block]; !ok {
-				return n.now + 1 // ownership request (re)attempted next cycle
+			if step, _ := n.ownStep(memtypes.BlockAddr(e.Addr)); step != drainWait {
+				return n.now + 1
 			}
 		}
-		prefetch := false
-		n.storePrefetches(func(memtypes.Addr) bool { prefetch = true; return false })
-		if prefetch {
-			return n.now + 1 // a store prefetch would be attempted
+		for _, block := range n.prefetchBlocks() {
+			if step, _ := n.ownStep(block); step == drainRequest {
+				return n.now + 1
+			}
 		}
 		return memtypes.NoEvent
 	}
-	// Coalescing buffer: an entry whose block has neither an outstanding
-	// miss nor a cleaning writeback in progress is (re)attempted every
-	// cycle; entries pinned behind a sent miss or a cleaning wake through
-	// those events. (A block with an outstanding remote miss can never be
-	// writable locally, so no drain is missed by waiting on the fill.)
 	for _, e := range n.coalSB.Entries() {
-		if _, ok := n.mshrs[e.Block]; ok {
-			continue
+		if step, _ := n.classifyEntry(e); step != drainWait {
+			return n.now + 1
 		}
-		if _, ok := n.cleanings[e.Block]; ok {
-			continue
-		}
-		return n.now + 1
 	}
 	return memtypes.NoEvent
 }

@@ -220,8 +220,8 @@ var idleSkipCases = []struct {
 	{"aso", consistency.SC, ifcore.DefaultASO()},
 }
 
-// TestHintAudit runs the contended programs of TestIdleSkipBitExact, and
-// headTermPrograms, under the hint audit: no node may change state before
+// TestHintAudit runs the contended programs of TestIdleSkipBitExact,
+// headTermPrograms and sbTermPrograms under the hint audit: no node may change state before
 // its NextEvent hint without a delivery, and the audited loop must
 // reproduce the event loop's Result.
 func TestHintAudit(t *testing.T) {
@@ -235,7 +235,7 @@ func TestHintAudit(t *testing.T) {
 			for i := range contended {
 				contended[i] = programFor(c.model, i, nnodes)
 			}
-			for _, progs := range [][]*isa.Program{contended, headTermPrograms(nnodes)} {
+			for _, progs := range append([][]*isa.Program{contended, headTermPrograms(nnodes)}, sbTermPrograms(nnodes)...) {
 				// Audit first: a late hint can stall the event loop for good.
 				cfg.DisableIdleSkip = true
 				audited, _ := runAudited(t, New(cfg, progs, nil))
@@ -263,11 +263,84 @@ func headTermPrograms(nnodes int) []*isa.Program {
 	b := isa.NewBuilder("head-term")
 	b.Fadd(isa.R2, isa.R0, 0x4000, isa.R3)
 	b.Halt()
-	progs := []*isa.Program{b.MustBuild()}
+	return onNodeZero(b.MustBuild(), nnodes)
+}
+
+// onNodeZero runs p on node 0 and halts the other nodes.
+func onNodeZero(p *isa.Program, nnodes int) []*isa.Program {
+	progs := []*isa.Program{p}
 	for len(progs) < nnodes {
 		progs = append(progs, haltProgram())
 	}
 	return progs
+}
+
+// sbTermPrograms isolate the store buffer's term of the hint: each leaves
+// node 0 with a drain step due in a cycle where no other term is, the
+// core halted or stalled on a miss. In a 2x2 machine, block a's home is
+// node (a>>6)%4. The other nodes halt.
+//   - sb-fifo-write: four stores to one remote block. After the fill the
+//     FIFO writes one per cycle, so three heads drain alone (FIFO
+//     implementations).
+//   - sb-fifo-request: four stores to block X, then one to Y, then a load
+//     whose value addresses twelve more. Those twelve misses fill the
+//     store-prefetch headroom (MSHRs-4) before X's fill, so Y is never
+//     prefetched: when Y reaches the FIFO head, its ownership request is
+//     the head's alone (FIFO implementations).
+//   - sb-coal-hold: chunk 1 writes L, then buffers a store to M; chunk 2
+//     buffers a store to L that chunk 1's write holds back (§3.1), then
+//     halts. M's fill drains chunk 1 and commits it, leaving L dirty; the
+//     held entry's next step, the cleaning writeback (§3.2), comes due
+//     the next cycle alone (continuous mode, 100-instruction chunks).
+func sbTermPrograms(nnodes int) [][]*isa.Program {
+	const (
+		x, y, z  = 0x4040, 0x6500, 0x4000 // homes 1, 0, 0
+		l, n, m  = 0x4040, 0x40C0, 0x41C0 // homes 1, 3, 3
+		far      = 0x8000                 // the twelve loads' blocks
+		farLoads = 12                     // MSHRs (16) - 4
+	)
+	w := isa.NewBuilder("sb-fifo-write")
+	w.MovI(isa.R1, x)
+	w.MovI(isa.R2, 7)
+	for i := int64(0); i < 4; i++ {
+		w.St(isa.R1, 8*i, isa.R2)
+	}
+	w.Halt()
+
+	r := isa.NewBuilder("sb-fifo-request")
+	r.MovI(isa.R1, x)
+	r.MovI(isa.R2, 7)
+	r.MovI(isa.R3, y)
+	r.MovI(isa.R4, z)
+	for i := int64(0); i < 4; i++ {
+		r.St(isa.R1, 8*i, isa.R2)
+	}
+	r.St(isa.R3, 0, isa.R2)
+	r.Ld(isa.R5, isa.R4, 0) // a local miss; memory holds 0
+	for i := int64(0); i < farLoads; i++ {
+		r.Ld(isa.R6, isa.R5, far+i*64)
+	}
+	r.Halt()
+
+	h := isa.NewBuilder("sb-coal-hold")
+	h.MovI(isa.R1, l)
+	h.MovI(isa.R2, n)
+	h.MovI(isa.R3, m)
+	h.MovI(isa.R4, 7)
+	h.St(isa.R1, 0, isa.R4) // chunk 1's store to L drains at L's fill
+	h.Ld(isa.R5, isa.R2, 0) // N's fill comes later: L is written by then
+	h.St(isa.R3, 0, isa.R4) // chunk 1 commits only once M's fill drains this
+	for i := 0; i < 120; i++ {
+		h.AddI(isa.R6, isa.R6, 1) // chunk 1 closes in here
+	}
+	h.St(isa.R1, 8, isa.R4) // chunk 2: held back by chunk 1's write to L
+	h.Halt()
+
+	return [][]*isa.Program{
+		onNodeZero(w.MustBuild(), nnodes),
+		onNodeZero(r.MustBuild(), nnodes),
+		onNodeZero(h.MustBuild(), nnodes),
+	}
 }
 
 // TestHintAuditApache audits the two selective apache cells of cmd/bench's

@@ -12,26 +12,22 @@ const NonSpecEpoch = -1
 // Epoch is NonSpecEpoch for non-speculative stores or the checkpoint epoch
 // index for speculative ones; speculative and non-speculative stores to the
 // same block never coalesce (§3.1), so a block may have several entries of
-// different classes, ordered by seq.
+// different classes, kept in age order.
 type CoalescingEntry struct {
-	Block  memtypes.Addr
-	Words  memtypes.BlockData
-	Valid  [memtypes.WordsPerBlock]bool
-	Epoch  int
-	Issued bool // ownership request sent for this block
-	seq    uint64
+	Block memtypes.Addr
+	Words memtypes.BlockData
+	Valid [memtypes.WordsPerBlock]bool
+	Epoch int
 }
-
-// Seq exposes the entry's age order (older = smaller) for drain ordering.
-func (e *CoalescingEntry) Seq() uint64 { return e.seq }
 
 // Coalescing is the unordered block-granularity store buffer. Capacity is
 // sized to the number of outstanding store misses (8 entries for a single
-// checkpoint, 32 with two in-flight checkpoints, per Figure 6).
+// checkpoint, 32 with two in-flight checkpoints, per Figure 6). Its
+// entries are kept in age order: Store appends, and removals keep the
+// order of the rest.
 type Coalescing struct {
 	entries  []*CoalescingEntry
 	capacity int
-	nextSeq  uint64
 
 	// free recycles removed entries: occupancy is capacity-bounded, so after
 	// warm-up every Store that needs a fresh entry pops one here and the
@@ -60,22 +56,18 @@ func (c *Coalescing) Empty() bool { return len(c.entries) == 0 }
 // Len returns the current entry count.
 func (c *Coalescing) Len() int { return len(c.entries) }
 
-// Capacity returns the configured capacity.
-func (c *Coalescing) Capacity() int { return c.capacity }
-
 // mergeTarget returns the entry a store of the given class may coalesce
 // into: the youngest entry for the block, and only if it has the same
 // epoch class (no speculative/non-speculative or cross-epoch coalescing,
 // and no writing into an older entry past a younger one).
 func (c *Coalescing) mergeTarget(block memtypes.Addr, epoch int) *CoalescingEntry {
-	var youngest *CoalescingEntry
-	for _, e := range c.entries {
-		if e.Block == block && (youngest == nil || e.seq > youngest.seq) {
-			youngest = e
+	for i := len(c.entries) - 1; i >= 0; i-- {
+		if e := c.entries[i]; e.Block == block {
+			if e.Epoch == epoch {
+				return e
+			}
+			return nil
 		}
-	}
-	if youngest != nil && youngest.Epoch == epoch {
-		return youngest
 	}
 	return nil
 }
@@ -102,14 +94,13 @@ func (c *Coalescing) Store(addr memtypes.Addr, val memtypes.Word, epoch int) boo
 		c.FullStalls++
 		return false
 	}
-	c.nextSeq++
 	var e *CoalescingEntry
 	if k := len(c.free); k > 0 {
 		e = c.free[k-1]
 		c.free = c.free[:k-1]
-		*e = CoalescingEntry{Block: block, Epoch: epoch, seq: c.nextSeq}
+		*e = CoalescingEntry{Block: block, Epoch: epoch}
 	} else {
-		e = &CoalescingEntry{Block: block, Epoch: epoch, seq: c.nextSeq}
+		e = &CoalescingEntry{Block: block, Epoch: epoch}
 	}
 	e.Words[wi] = val
 	e.Valid[wi] = true
@@ -124,36 +115,20 @@ func (c *Coalescing) Store(addr memtypes.Addr, val memtypes.Word, epoch int) boo
 func (c *Coalescing) Forward(addr memtypes.Addr) (memtypes.Word, bool) {
 	block := memtypes.BlockAddr(addr)
 	wi := memtypes.WordIndex(addr)
-	var best *CoalescingEntry
-	for _, e := range c.entries {
-		if e.Block == block && e.Valid[wi] && (best == nil || e.seq > best.seq) {
-			best = e
+	for i := len(c.entries) - 1; i >= 0; i-- {
+		if e := c.entries[i]; e.Block == block && e.Valid[wi] {
+			return e.Words[wi], true
 		}
 	}
-	if best == nil {
-		return 0, false
-	}
-	return best.Words[wi], true
+	return 0, false
 }
 
 // Entries returns the live entries in age order (the slice is the internal
 // one; callers must not mutate its structure).
 func (c *Coalescing) Entries() []*CoalescingEntry { return c.entries }
 
-// EntriesForBlock returns the entries for one block in age order.
-func (c *Coalescing) EntriesForBlock(block memtypes.Addr) []*CoalescingEntry {
-	var out []*CoalescingEntry
-	for _, e := range c.entries {
-		if e.Block == block {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // HasBlock reports whether any entry (of any epoch class) holds stores for
-// the block. Allocation-free equivalent of len(EntriesForBlock(block)) > 0
-// for the hot paths (eviction pinning, retirement bypass checks).
+// the block (eviction pinning, retirement bypass checks).
 func (c *Coalescing) HasBlock(block memtypes.Addr) bool {
 	for _, e := range c.entries {
 		if e.Block == block {
@@ -164,9 +139,7 @@ func (c *Coalescing) HasBlock(block memtypes.Addr) bool {
 }
 
 // IsOldestForBlock reports whether e is the oldest live entry for its block.
-// The entries slice is kept in seq order, so the first same-block entry
-// encountered decides; this replaces the allocating EntriesForBlock walk on
-// the per-cycle drain path.
+// The entries are in age order, so the first same-block entry decides.
 func (c *Coalescing) IsOldestForBlock(target *CoalescingEntry) bool {
 	for _, e := range c.entries {
 		if e == target {
@@ -219,21 +192,6 @@ func (c *Coalescing) CountEpoch(epoch int) int {
 	n := 0
 	for _, e := range c.entries {
 		if e.Epoch == epoch {
-			n++
-		}
-	}
-	return n
-}
-
-// ReclassifyEpoch moves all entries from one epoch class to another: used
-// when an epoch commits while some of its stores still sit in the buffer
-// waiting for fills (they become non-speculative), and when epoch indexes
-// rotate after a commit.
-func (c *Coalescing) ReclassifyEpoch(from, to int) int {
-	n := 0
-	for _, e := range c.entries {
-		if e.Epoch == from {
-			e.Epoch = to
 			n++
 		}
 	}

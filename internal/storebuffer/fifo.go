@@ -17,7 +17,6 @@ import "invisifence/internal/memtypes"
 type FIFOEntry struct {
 	Addr memtypes.Addr // word-aligned
 	Val  memtypes.Word
-	seq  uint64
 }
 
 // FIFO is the word-granularity FIFO store buffer. Its CAM-based load
@@ -26,13 +25,12 @@ type FIFOEntry struct {
 type FIFO struct {
 	entries  []FIFOEntry
 	capacity int
-	nextSeq  uint64
 
 	// prefetchBuf is the reusable result slice for PrefetchBlocks: the drain
 	// engine calls it every cycle, so it must not allocate.
 	prefetchBuf []memtypes.Addr
 
-	Pushes, FullStalls uint64
+	FullStalls uint64
 }
 
 // NewFIFO creates a FIFO store buffer with the given entry capacity.
@@ -53,9 +51,6 @@ func (f *FIFO) Empty() bool { return len(f.entries) == 0 }
 // Len returns the current occupancy.
 func (f *FIFO) Len() int { return len(f.entries) }
 
-// Capacity returns the configured capacity.
-func (f *FIFO) Capacity() int { return f.capacity }
-
 // Push appends a retired store. It returns false (and counts a stall) if
 // the buffer is full.
 func (f *FIFO) Push(addr memtypes.Addr, val memtypes.Word) bool {
@@ -63,9 +58,7 @@ func (f *FIFO) Push(addr memtypes.Addr, val memtypes.Word) bool {
 		f.FullStalls++
 		return false
 	}
-	f.nextSeq++
-	f.entries = append(f.entries, FIFOEntry{Addr: memtypes.WordAlign(addr), Val: val, seq: f.nextSeq})
-	f.Pushes++
+	f.entries = append(f.entries, FIFOEntry{Addr: memtypes.WordAlign(addr), Val: val})
 	return true
 }
 

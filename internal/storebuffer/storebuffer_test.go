@@ -146,19 +146,47 @@ func TestCoalescingFlashInvalidateSpec(t *testing.T) {
 	}
 }
 
-func TestCoalescingEntriesForBlockAgeOrder(t *testing.T) {
+// TestCoalescingEntriesAgeOrder pins the age order Entries keeps, which
+// mergeTarget, Forward and IsOldestForBlock rely on: appends in store
+// order, and removal or flash invalidation keeps the rest in order.
+func TestCoalescingEntriesAgeOrder(t *testing.T) {
 	c := NewCoalescing(8)
 	c.Store(0x40, 1, NonSpecEpoch)
-	c.Store(0x40, 2, 0)
-	c.Store(0x40, 3, 1)
-	es := c.EntriesForBlock(0x40)
-	if len(es) != 3 {
-		t.Fatalf("entries = %d", len(es))
+	c.Store(0x80, 2, NonSpecEpoch)
+	c.Store(0x40, 3, 0)
+	c.Store(0xC0, 4, 1)
+	c.Store(0x40, 5, 1)
+	es := c.Entries()
+	want := []struct {
+		block memtypes.Addr
+		epoch int
+		val   memtypes.Word
+	}{{0x40, NonSpecEpoch, 1}, {0x80, NonSpecEpoch, 2}, {0x40, 0, 3}, {0xC0, 1, 4}, {0x40, 1, 5}}
+	if len(es) != len(want) {
+		t.Fatalf("entries = %d, want %d", len(es), len(want))
 	}
-	for i := 1; i < len(es); i++ {
-		if es[i].Seq() <= es[i-1].Seq() {
-			t.Fatal("entries not in age order")
+	for i, w := range want {
+		if es[i].Block != w.block || es[i].Epoch != w.epoch || es[i].Words[0] != w.val {
+			t.Fatalf("entry %d = %#x/%d/%d, want %#x/%d/%d", i, es[i].Block, es[i].Epoch, es[i].Words[0], w.block, w.epoch, w.val)
 		}
+	}
+	oldest := []bool{true, true, false, true, false}
+	for i, e := range es {
+		if c.IsOldestForBlock(e) != oldest[i] {
+			t.Fatalf("IsOldestForBlock(entry %d) = %v, want %v", i, !oldest[i], oldest[i])
+		}
+	}
+	// Dropping the oldest 0x40 entry makes the next one, in age order, the
+	// oldest for its block; the younger one stays behind it.
+	c.Remove(es[0])
+	es = c.Entries()
+	if es[1].Words[0] != 3 || !c.IsOldestForBlock(es[1]) || c.IsOldestForBlock(es[3]) {
+		t.Fatal("removal broke the age order")
+	}
+	c.FlashInvalidateSpec(0)
+	es = c.Entries()
+	if len(es) != 3 || es[2].Words[0] != 5 || !c.IsOldestForBlock(es[2]) {
+		t.Fatal("flash invalidation broke the age order")
 	}
 }
 
@@ -169,18 +197,6 @@ func TestCoalescingRemove(t *testing.T) {
 	c.Remove(c.Entries()[0])
 	if c.Len() != 1 || c.Entries()[0].Block != 0x80 {
 		t.Fatal("wrong entry removed")
-	}
-}
-
-func TestCoalescingReclassify(t *testing.T) {
-	c := NewCoalescing(4)
-	c.Store(0x40, 1, 2)
-	c.Store(0x80, 2, 2)
-	if n := c.ReclassifyEpoch(2, NonSpecEpoch); n != 2 {
-		t.Fatalf("reclassified %d", n)
-	}
-	if c.CountEpoch(NonSpecEpoch) != 2 || c.CountEpoch(2) != 0 {
-		t.Fatal("reclassify failed")
 	}
 }
 
