@@ -712,22 +712,35 @@ var machine = sim.Machine{
 // result base), the simulation runs to completion, and the outcome is read
 // back from the result area plus any final-state slots.
 func (h Harness) RunSeed(spec ConfigSpec, seed int64) Outcome {
-	cfg, progs := h.machine(spec, seed)
-	s, _ := systems.Get().(*sim.System)
-	if s == nil {
-		s = new(sim.System)
+	r, _ := rigs.Get().(*rig)
+	if r == nil {
+		r = new(rig)
 	}
-	if r := s.Init(cfg, progs, nil).Run(); !r.Finished {
+	cfg := h.machine(r, spec, seed)
+	if res := r.sys.Init(cfg, r.progs[:], nil).Run(); !res.Finished {
 		panic(fmt.Sprintf("litmus %s/%s seed %d did not finish", h.Name, spec.Name, seed))
 	}
-	o := h.outcome(s, seed)
-	systems.Put(s)
+	o := h.outcome(&r.sys, seed)
+	rigs.Put(r)
 	return o
 }
 
-// systems holds finished machines for RunSeed to rebuild in place: a run
-// of a few hundred cycles cost less to simulate than to build.
-var systems sync.Pool
+// nodes is the litmus machine's node count, the most threads a test has.
+const nodes = 4
+
+// rig is one pooled litmus machine: a finished System for RunSeed to
+// rebuild in place, and the per-node programs each seed is assembled into,
+// whose instruction arrays are reused too. A run of a few hundred cycles
+// costs less to simulate than to build. One goroutine holds a rig from Get
+// to Put, and the programs stay unchanged while its System runs.
+type rig struct {
+	sys   sim.System
+	progs [nodes]*isa.Program
+	bufs  [nodes]isa.Program
+}
+
+// rigs holds the finished rigs.
+var rigs sync.Pool
 
 // haltProgram runs on every node without a thread; the simulator never
 // reads a program's name.
@@ -737,33 +750,20 @@ var haltProgram = func() *isa.Program {
 	return b.MustBuild()
 }()
 
-// machine assembles one seed's system configuration and per-node programs.
-func (h Harness) machine(spec ConfigSpec, seed int64) (sim.Config, []*isa.Program) {
-	nodes := 4
+// machine assembles one seed's per-node programs into r and returns the
+// seed's system configuration.
+func (h Harness) machine(r *rig, spec ConfigSpec, seed int64) sim.Config {
 	if len(h.Bodies) > nodes {
 		panic(fmt.Sprintf("litmus: %s has %d threads, max %d", h.Name, len(h.Bodies), nodes))
 	}
 	vbase := varsBase(seed)
-	progs := make([]*isa.Program, nodes)
-	for i := 0; i < nodes; i++ {
+	for i := range r.progs {
 		if i >= len(h.Bodies) {
-			progs[i] = haltProgram
+			r.progs[i] = haltProgram
 			continue
 		}
 		// Seed-dependent start skew explores interleavings.
-		prefix := make([]isa.Insertion, 0, 3)
-		if skew := (seed*7 + int64(i)*13) % 40; skew > 0 {
-			prefix = append(prefix, isa.Insertion{PC: 0, In: isa.Instr{Op: isa.Delay, Imm: skew}})
-		}
-		prefix = append(prefix,
-			isa.Insertion{PC: 0, In: isa.Instr{Op: isa.MovI, Rd: isa.R4, Imm: int64(vbase)}},
-			isa.Insertion{PC: 0, In: isa.Instr{Op: isa.MovI, Rd: isa.R5, Imm: int64(resultsAddr)}},
-		)
-		p, err := isa.InsertBefore(h.Bodies[i], prefix)
-		if err != nil {
-			panic(err)
-		}
-		progs[i] = p
+		r.progs[i] = r.assemble(i, h.Bodies[i], (seed*7+int64(i)*13)%40, vbase)
 	}
 	m := machine
 	if h.Jitter != 0 {
@@ -772,7 +772,32 @@ func (h Harness) machine(spec ConfigSpec, seed int64) (sim.Config, []*isa.Progra
 	cfg := m.Assemble(spec.Variant, seed)
 	cfg.MaxCycles = 500_000
 	cfg.WatchdogCycles = 100_000
-	return cfg, progs
+	return cfg
+}
+
+// assemble writes node i's program into the rig's buffer: a delay of skew
+// cycles when skew > 0, R4 = vbase and R5 = the result base, then body
+// with every branch target t > 0 moved past the prefix. The instructions
+// equal isa.InsertBefore(body, prefix)'s, where a target of 0 — a branch
+// to the program start — resolves to the first inserted instruction and
+// so stays 0. Labels stay nil: the simulator reads no label.
+func (r *rig) assemble(i int, body *isa.Program, skew int64, vbase memtypes.Addr) *isa.Program {
+	in := r.bufs[i].Instrs[:0]
+	if skew > 0 {
+		in = append(in, isa.Instr{Op: isa.Delay, Imm: skew})
+	}
+	in = append(in,
+		isa.Instr{Op: isa.MovI, Rd: isa.R4, Imm: int64(vbase)},
+		isa.Instr{Op: isa.MovI, Rd: isa.R5, Imm: int64(resultsAddr)})
+	k := len(in)
+	for _, x := range body.Instrs {
+		if x.Op.IsBranch() && x.Target > 0 {
+			x.Target += k
+		}
+		in = append(in, x)
+	}
+	r.bufs[i] = isa.Program{Name: body.Name, Instrs: in}
+	return &r.bufs[i]
 }
 
 // outcome reads seed's outcome back from a finished system.

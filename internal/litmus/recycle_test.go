@@ -9,15 +9,16 @@ import (
 	"invisifence/internal/sim"
 )
 
-// runBoth runs one seed of h on the recycled system and on a fresh
-// sim.New system, and fails unless the outcome, the Result (PerNode
-// statistics included) and the runner telemetry are deeply equal.
-func runBoth(t *testing.T, recycled *sim.System, h Harness, spec ConfigSpec, seed int64) sim.Result {
+// runBoth runs one seed of h on the recycled rig, with the programs
+// assembled in place, and on a fresh sim.New system running the programs
+// isa.InsertBefore builds, and fails unless the outcome, the Result
+// (PerNode statistics included) and the runner telemetry are deeply equal.
+func runBoth(t *testing.T, recycled *rig, h Harness, spec ConfigSpec, seed int64) sim.Result {
 	t.Helper()
-	cfg, progs := h.machine(spec, seed)
-	got := recycled.Init(cfg, progs, nil).Run()
-	gotOut, gotStats := h.outcome(recycled, seed), recycled.RunnerStats()
-	fresh := sim.New(cfg, progs, nil)
+	cfg := h.machine(recycled, spec, seed)
+	got := recycled.sys.Init(cfg, recycled.progs[:], nil).Run()
+	gotOut, gotStats := h.outcome(&recycled.sys, seed), recycled.sys.RunnerStats()
+	fresh := sim.New(cfg, prefixed(t, h, seed), nil)
 	want := fresh.Run()
 	if !want.Finished {
 		t.Fatalf("%s/%s seed %d did not finish", h.Name, spec.Name, seed)
@@ -34,15 +35,16 @@ func runBoth(t *testing.T, recycled *sim.System, h Harness, spec ConfigSpec, see
 	return want
 }
 
-// TestRecycledMachineMatchesFresh pins the one construction path: a System
-// rebuilt in place after any other run behaves exactly like a freshly
-// built one. One System runs every corpus test under all implementations
-// and seeds 0-7, interleaved so that consecutive runs change the
-// implementation — FIFO and coalescing store buffers, one, two and four
-// checkpoints, engine modes — the test, the seed and the jitter bound.
+// TestRecycledMachineMatchesFresh pins the one construction path: a rig's
+// System rebuilt in place after any other run, with its programs assembled
+// over the last run's, behaves exactly like a freshly built one. One rig
+// runs every corpus test under all implementations and seeds 0-7,
+// interleaved so that consecutive runs change the implementation — FIFO
+// and coalescing store buffers, one, two and four checkpoints, engine
+// modes — the test, the seed and the jitter bound.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	configs := AllConfigs()
-	recycled := new(sim.System)
+	recycled := new(rig)
 	for seed := int64(0); seed < 8; seed++ {
 		for ti, tt := range Tests {
 			for ci := range configs {

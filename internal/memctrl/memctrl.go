@@ -27,6 +27,10 @@ type Memory struct {
 	cfg      Config
 	blocks   map[memtypes.Addr]*memtypes.BlockData
 	bankFree []uint64
+	// spare holds a rebuilt memory's old blocks, which writes take before
+	// they allocate. It is a pointer so that a fresh Memory, which has
+	// none, stays in the 80-byte allocation size class (TestMemorySize).
+	spare *[]*memtypes.BlockData
 
 	Reads  uint64
 	Writes uint64
@@ -35,7 +39,8 @@ type Memory struct {
 // New creates an empty memory with the given configuration.
 func New(cfg Config) *Memory { return new(Memory).Init(cfg) }
 
-// Init empties m for cfg and returns it (DESIGN.md §2).
+// Init empties m for cfg and returns it (DESIGN.md §2). The blocks the last
+// run wrote become spares for this run's writes.
 func (m *Memory) Init(cfg Config) *Memory {
 	if cfg.Banks <= 0 {
 		cfg.Banks = 1
@@ -47,9 +52,35 @@ func (m *Memory) Init(cfg Config) *Memory {
 	if blocks == nil {
 		blocks = make(map[memtypes.Addr]*memtypes.BlockData)
 	}
+	spare := m.spare
+	if len(blocks) > 0 && spare == nil {
+		spare = new([]*memtypes.BlockData)
+	}
+	//lint:allow determinism spares are interchangeable storage, cleared when taken
+	for _, b := range blocks {
+		*spare = append(*spare, b)
+	}
 	clear(blocks)
-	*m = Memory{cfg: cfg, blocks: blocks, bankFree: memtypes.Resize(m.bankFree, cfg.Banks)}
+	*m = Memory{cfg: cfg, blocks: blocks, spare: spare, bankFree: memtypes.Resize(m.bankFree, cfg.Banks)}
 	return m
+}
+
+// block returns the storage of the block at ba, adding a zero block when
+// none was written yet.
+func (m *Memory) block(ba memtypes.Addr) *memtypes.BlockData {
+	if b, ok := m.blocks[ba]; ok {
+		return b
+	}
+	var b *memtypes.BlockData
+	if s := m.spare; s != nil && len(*s) > 0 {
+		b = (*s)[len(*s)-1]
+		*s = (*s)[:len(*s)-1]
+		*b = memtypes.BlockData{}
+	} else {
+		b = new(memtypes.BlockData)
+	}
+	m.blocks[ba] = b
+	return b
 }
 
 func (m *Memory) bank(a memtypes.Addr) int {
@@ -80,25 +111,13 @@ func (m *Memory) ReadBlock(a memtypes.Addr) memtypes.BlockData {
 // WriteBlock replaces the contents of the block containing a.
 func (m *Memory) WriteBlock(a memtypes.Addr, d memtypes.BlockData) {
 	m.Writes++
-	ba := memtypes.BlockAddr(a)
-	b, ok := m.blocks[ba]
-	if !ok {
-		b = new(memtypes.BlockData)
-		m.blocks[ba] = b
-	}
-	*b = d
+	*m.block(memtypes.BlockAddr(a)) = d
 }
 
 // WriteWord updates a single word; used to initialize workload data
 // structures before simulation starts.
 func (m *Memory) WriteWord(a memtypes.Addr, w memtypes.Word) {
-	ba := memtypes.BlockAddr(a)
-	b, ok := m.blocks[ba]
-	if !ok {
-		b = new(memtypes.BlockData)
-		m.blocks[ba] = b
-	}
-	b[memtypes.WordIndex(a)] = w
+	m.block(memtypes.BlockAddr(a))[memtypes.WordIndex(a)] = w
 }
 
 // ReadWord returns a single word; used by tests and by the harness to read

@@ -3,6 +3,7 @@ package memctrl
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"invisifence/internal/memtypes"
 )
@@ -63,5 +64,41 @@ func TestWriteReadQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInitRecyclesBlocks pins a rebuilt memory: it reads as empty, and a
+// word written into a block that reuses a spare reads zero beside it.
+func TestInitRecyclesBlocks(t *testing.T) {
+	cfg := Config{AccessLatency: 10, Banks: 4, BankBusy: 2}
+	m := New(cfg)
+	var d memtypes.BlockData
+	for i := range d {
+		d[i] = 7
+	}
+	m.WriteBlock(0x1000, d)
+	m.WriteBlock(0x2000, d)
+	m.Init(cfg)
+	if m.Blocks() != 0 || m.ReadWord(0x1000) != 0 || m.ReadBlock(0x2000) != (memtypes.BlockData{}) {
+		t.Fatal("rebuilt memory still holds the last run's blocks")
+	}
+	m.WriteWord(0x3008, 5)
+	if got := m.ReadBlock(0x3000); got != (memtypes.BlockData{1: 5}) {
+		t.Fatalf("word write into a recycled block: block %v", got)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		m.Init(cfg)
+		m.WriteBlock(0x1000, d)
+		m.WriteWord(0x2000, 1)
+	}); allocs != 0 {
+		t.Fatalf("rebuild and rewrite of two blocks allocated %v times, want 0", allocs)
+	}
+}
+
+// TestMemorySize pins Memory in its allocation size class: every fresh
+// system allocates one per node.
+func TestMemorySize(t *testing.T) {
+	if n := unsafe.Sizeof(Memory{}); n > 80 {
+		t.Fatalf("Memory is %d bytes, want <= 80", n)
 	}
 }

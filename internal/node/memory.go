@@ -73,7 +73,7 @@ func (n *Node) freeMSHR(m *mshrEntry) {
 	}
 	n.mshrFree = append(n.mshrFree, m)
 	n.setPending[n.l1SetIndex(m.block)]--
-	if n.fillHoldCycles > 0 && !m.prefetch {
+	if n.fillHoldCycles > 0 {
 		// Livelock avoidance: give the core a short exclusive window on
 		// the freshly arrived line before external probes may take it.
 		put(&n.fillHold, m.block, n.now+n.fillHoldCycles)

@@ -77,14 +77,13 @@ func (c *Config) UsesFIFOSB() bool {
 }
 
 type mshrEntry struct {
-	block    memtypes.Addr
-	wantX    bool
-	upgrade  bool
-	sent     bool
-	fromL2   bool   // served by local L2
-	readyAt  uint64 // completion time for local L2 serves
-	prefetch bool
-	waiters  []loadWaiter
+	block   memtypes.Addr
+	wantX   bool
+	upgrade bool
+	sent    bool
+	fromL2  bool   // served by local L2
+	readyAt uint64 // completion time for local L2 serves
+	waiters []loadWaiter
 	// invalidated marks a miss whose block was invalidated while pending:
 	// an Inv (from a directory transaction ordered after the one producing
 	// our fill) can overtake a 3-hop forwarded fill on a different network
@@ -542,8 +541,8 @@ func stallClass(why cpu.StallReason) stats.CycleClass {
 func (n *Node) DebugString() string {
 	out := ""
 	for _, m := range n.mshrOrder {
-		out += fmt.Sprintf("  mshr %#x wantX=%v sent=%v upg=%v fromL2=%v pf=%v waiters=%d\n",
-			uint64(m.block), m.wantX, m.sent, m.upgrade, m.fromL2, m.prefetch, len(m.waiters))
+		out += fmt.Sprintf("  mshr %#x wantX=%v sent=%v upg=%v fromL2=%v waiters=%d\n",
+			uint64(m.block), m.wantX, m.sent, m.upgrade, m.fromL2, len(m.waiters))
 	}
 	for _, p := range n.parked {
 		out += fmt.Sprintf("  parked %v from=%d cov=%v deadline=%d\n", p.msg, p.src, p.isCoV, p.deadline)

@@ -94,9 +94,6 @@ func (n *Node) handleFill(m *coherence.Msg) {
 		return
 	}
 	delete(n.parkedFills, block)
-	if mshr.prefetch {
-		n.invariant(len(mshr.waiters) == 0, "prefetch MSHR with waiters")
-	}
 	n.RemoteFills++
 	n.wakeWaiters(mshr)
 	n.freeMSHR(mshr)

@@ -181,3 +181,33 @@ func TestWatchdogExact(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionRebuild pins partition built over the previous build's
+// arrays: whatever node and cluster counts the last build had, it holds
+// the contiguous, balanced clusters a fresh partition holds.
+func TestPartitionRebuild(t *testing.T) {
+	var old [][]int
+	for _, c := range []struct{ n, k int }{{16, 4}, {16, 1}, {4, 2}, {16, 3}, {5, 2}, {16, 4}} {
+		got := partition(old, c.n, c.k)
+		want := partition(nil, c.n, c.k)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("partition(%d, %d) over the last build = %v, fresh %v", c.n, c.k, got, want)
+		}
+		next := 0
+		for _, ids := range want {
+			if len(ids) < c.n/c.k || len(ids) > c.n/c.k+1 {
+				t.Fatalf("partition(%d, %d) = %v: unbalanced", c.n, c.k, want)
+			}
+			for _, id := range ids {
+				if id != next {
+					t.Fatalf("partition(%d, %d) = %v: not contiguous", c.n, c.k, want)
+				}
+				next++
+			}
+		}
+		if next != c.n {
+			t.Fatalf("partition(%d, %d) = %v covers %d nodes", c.n, c.k, want, next)
+		}
+		old = got
+	}
+}

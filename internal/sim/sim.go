@@ -88,6 +88,7 @@ type System struct {
 	clusterOf    []int
 	xferScratch  [][]network.Message // barrier-exchange regrouping buffers
 	clusters     []*cluster          // the event loop's, kept for a rebuild
+	perNode      []*stats.NodeStats  // backs Result.PerNode, kept for a rebuild
 
 	// runnerStats accumulates event-loop telemetry (kept out of Result so
 	// both runners produce deeply-equal Results).
@@ -117,7 +118,8 @@ func New(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word)
 
 // Init builds s as New would and returns it, rebuilding a finished
 // system's networks and nodes in place (DESIGN.md §2). A Result's PerNode
-// pointers are valid only until its System's next Init.
+// slice and the statistics it points to are valid only until its System's
+// next Init.
 func (s *System) Init(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]memtypes.Word) *System {
 	nnodes := cfg.Net.Width * cfg.Net.Height
 	if len(programs) != nnodes {
@@ -129,9 +131,10 @@ func (s *System) Init(cfg Config, programs []*isa.Program, regs [][isa.NumRegs]m
 		cfg:          cfg,
 		nodes:        old.nodes[:0],
 		shards:       old.shards[:0],
-		clusterNodes: partition(nnodes, k),
+		clusterNodes: partition(old.clusterNodes, nnodes, k),
 		clusterOf:    memtypes.Resize(old.clusterOf, nnodes),
 		clusters:     old.clusters,
+		perNode:      old.perNode,
 	}
 	for c, ids := range s.clusterNodes {
 		var owned []bool
@@ -170,18 +173,27 @@ func reuse[T any](old []*T, i int) *T {
 // fragments), so the minimum cross-cluster hop distance — the event
 // loop's lookahead — stays at one hop rather than collapsing to zero
 // (self-messages, the only sub-hop latency, are always intra-cluster).
-func partition(n, k int) [][]int {
+// The clusters are built in the backing arrays of old, the previous
+// build's partition.
+func partition(old [][]int, n, k int) [][]int {
 	base, rem := n/k, n%k
-	out := make([][]int, 0, k)
+	out := old[:0]
+	if cap(out) < k {
+		out = make([][]int, 0, k)
+	}
 	next := 0
 	for c := 0; c < k; c++ {
 		size := base
 		if c < rem {
 			size++
 		}
-		ids := make([]int, 0, size)
-		for j := 0; j < size; j++ {
-			ids = append(ids, next)
+		var ids []int
+		if c < len(old) {
+			ids = old[c]
+		}
+		ids = memtypes.Resize(ids, size)
+		for j := range ids {
+			ids[j] = next
 			next++
 		}
 		out = append(out, ids)
@@ -322,10 +334,12 @@ func (s *System) result(finished bool) Result {
 	for _, sh := range s.shards { // ascending shard order; Merge is order-independent anyway
 		r.Net.Merge(&sh.Contention)
 	}
+	s.perNode = memtypes.Resize(s.perNode, len(s.nodes))
+	r.PerNode = s.perNode
 	var specCycles, totalCycles uint64
-	for _, n := range s.nodes {
+	for i, n := range s.nodes {
 		st := n.Stats()
-		r.PerNode = append(r.PerNode, st)
+		r.PerNode[i] = st
 		r.Breakdown.Add(&st.Final)
 		r.Retired += st.Retired
 		specCycles += st.SpecCycles
