@@ -1,12 +1,17 @@
 package crossval
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"invisifence/internal/fencesearch"
 	"invisifence/internal/staticfence"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/crossval.golden from the current analyzers")
 
 // TestCorpusSound is the acceptance gate: across the full litmus corpus and
 // every implementation, the static analyzer never misses a dynamically
@@ -17,6 +22,22 @@ func TestCorpusSound(t *testing.T) {
 	rep, err := Run(Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The full 48-seed table is pinned byte for byte: it is what
+	// cmd/staticfence -crossval prints. Regenerate (only with a change
+	// that explains every moved cell):
+	//
+	//	go test ./internal/crossval -run TestCorpusSound -update
+	golden := filepath.Join("testdata", "crossval.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(rep.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want, err := os.ReadFile(golden); err != nil {
+		t.Fatal(err)
+	} else if got := rep.String(); got != string(want) {
+		t.Errorf("crossval report differs from %s:\n%s", golden, got)
 	}
 	if v := rep.Violations(); len(v) != 0 {
 		for _, c := range v {

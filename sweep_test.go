@@ -1,6 +1,9 @@
 package invisifence
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -82,6 +85,68 @@ func TestSweepSpecJobsExpansion(t *testing.T) {
 		if ResultKey(jobs[i]) != ResultKey(again[i]) {
 			t.Fatalf("job %d not reproducible", i)
 		}
+	}
+
+	// Two values on every axis: the full order is the seven nested axis
+	// loops, workload outermost and seed innermost. Both variants are
+	// speculative, so the checkpoint axis never dedupes a cell.
+	m := tinyMachine()
+	full := SweepSpec{
+		Workloads:      []string{"barnes", "ocean"},
+		Variants:       []string{"invisi-sc", "invisi-tso"},
+		SBDepths:       []int{0, 4},
+		Checkpoints:    []int{0, 2},
+		Nodes:          []int{4, 8},
+		LinkBandwidths: []uint64{0, 2},
+		Seeds:          []int64{1, 2},
+		Scale:          0.2,
+		Machine:        &m,
+	}
+	jobs, err = full.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Size() != 128 || len(jobs) != 128 {
+		t.Fatalf("Size %d, len(Jobs) %d, want 128", full.Size(), len(jobs))
+	}
+	var want []string
+	for _, wl := range full.Workloads {
+		for _, vn := range full.Variants {
+			for _, sb := range full.SBDepths {
+				for _, ck := range full.Checkpoints {
+					for _, nodes := range full.Nodes {
+						for _, bw := range full.LinkBandwidths {
+							for _, seed := range full.Seeds {
+								v, _ := VariantByName(vn)
+								name := v.Name
+								if sb > 0 {
+									name += fmt.Sprintf("@sb%d", sb)
+								}
+								if ck > 0 {
+									name += fmt.Sprintf("@ckpt%d", ck)
+								}
+								want = append(want, fmt.Sprintf("%s/%s/n%d/bw%d/s%d", wl, name, nodes, bw, seed))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	h := sha256.New()
+	for i, cfg := range jobs {
+		got := fmt.Sprintf("%s/%s/n%d/bw%d/s%d", cfg.Workload, cfg.Variant.Name,
+			cfg.Machine.Width*cfg.Machine.Height, cfg.Machine.LinkBandwidth, cfg.Seed)
+		if got != want[i] {
+			t.Fatalf("job %d = %s, want %s", i, got, want[i])
+		}
+		fmt.Fprintln(h, ResultKey(cfg))
+	}
+	// The digest of every job's ResultKey, in order, pins each cell's
+	// full configuration, not just the fields rendered above.
+	const wantDigest = "521e99a0e19d138dca6bcb26459469e95d448e2127ca1ddf1bf1ae6cde635a6b"
+	if d := hex.EncodeToString(h.Sum(nil)); d != wantDigest {
+		t.Fatalf("job ResultKey digest = %s, want %s", d, wantDigest)
 	}
 }
 
