@@ -20,10 +20,13 @@
 // Soundness is not taken on classification alone: every static minimal set
 // is re-verified by direct re-simulation (fences inserted, full seed sweep,
 // zero target matches required), independently of the fencesearch cache.
+// That re-verification runs serially through litmus.Harness.Sweep; the
+// dynamic search's evaluation pool is the package's only parallelism.
 package crossval
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"invisifence/internal/fencesearch"
@@ -31,7 +34,6 @@ import (
 	"invisifence/internal/litmus"
 	"invisifence/internal/runcache"
 	"invisifence/internal/staticfence"
-	"invisifence/internal/sweep"
 )
 
 // Class is a cell's classification.
@@ -56,8 +58,8 @@ type Cell struct {
 	DynamicForbidden bool
 	// StaticMinimal / DynamicMinimal are the minimal fence-set families
 	// (empty when forbidden or skipped).
-	StaticMinimal  [][]staticfence.Site
-	DynamicMinimal [][]fencesearch.Site
+	StaticMinimal  [][]isa.Site
+	DynamicMinimal [][]isa.Site
 	// Detail explains violations and conservative cells.
 	Detail string
 }
@@ -73,7 +75,8 @@ type Options struct {
 	// Seeds is the sweep width for the dynamic search and for static-set
 	// re-verification (default 48, fencesearch's default).
 	Seeds int
-	// Workers bounds dynamic-search and re-verification concurrency.
+	// Workers bounds the dynamic search's evaluation concurrency. Static
+	// sets are re-verified serially, one seed after another.
 	Workers int
 	// Cache is the fencesearch evaluation cache (nil = fresh in-memory).
 	Cache *runcache.Cache
@@ -162,7 +165,7 @@ func classify(t litmus.Test, spec litmus.ConfigSpec, st *staticfence.Result, dyn
 	// Soundness check 2: every static minimal set must actually forbid the
 	// target when simulated (independent re-verification, no cache).
 	for _, set := range st.Minimal {
-		matches, err := verifySet(t, spec, set, opts)
+		matches, err := verifySet(t, spec, st.Graph.Bodies, set, opts.Seeds)
 		if err != nil {
 			return cell, err
 		}
@@ -197,53 +200,25 @@ func classify(t litmus.Test, spec litmus.ConfigSpec, st *staticfence.Result, dyn
 	return cell, nil
 }
 
-// verifySet inserts the static fence set and sweeps the target count
-// directly through the litmus harness — no fencesearch, no cache.
-func verifySet(t litmus.Test, spec litmus.ConfigSpec, set []staticfence.Site, opts Options) (int, error) {
-	perThread := map[int][]int{}
-	for _, s := range set {
-		perThread[s.Thread] = append(perThread[s.Thread], s.PC)
-	}
-	bodies := litmus.BodyPrograms(t, isa.NoFences)
-	fenced := make([]*isa.Program, len(bodies))
-	for i, b := range bodies {
-		f, err := isa.InsertFences(b, perThread[i])
-		if err != nil {
-			return 0, fmt.Errorf("crossval: %s/%s inserting %v: %w", t.Name, spec.Name, set, err)
-		}
-		fenced[i] = f
+// verifySet inserts the static fence set into the unfenced bodies and
+// counts target matches over the seed sweep directly through the litmus
+// harness — no fencesearch, no cache.
+func verifySet(t litmus.Test, spec litmus.ConfigSpec, bodies []*isa.Program, set []isa.Site, seeds int) (int, error) {
+	fenced, err := isa.FenceSet(bodies, set)
+	if err != nil {
+		return 0, fmt.Errorf("crossval: %s/%s inserting %v: %w", t.Name, spec.Name, set, err)
 	}
 	h := litmus.Harness{Name: t.Name + "+static", Slots: t.Slots, Finals: t.FinalVars, Bodies: fenced}
-	seeds := make([]int64, opts.Seeds)
-	for i := range seeds {
-		seeds[i] = int64(i)
-	}
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	outs, err := sweep.Run(seeds, sweep.Options{Workers: workers}, func(seed int64) (litmus.Outcome, error) {
-		return h.RunSeed(spec, seed), nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	matches := 0
-	for _, o := range outs {
-		if t.Target.Matches(o) {
-			matches++
-		}
-	}
-	return matches, nil
+	return litmus.CountMatches(h.Sweep(spec, seeds), t.Target), nil
 }
 
 // coversSome reports whether the static set contains some dynamic minimal
 // set.
-func coversSome(set []staticfence.Site, dyn [][]fencesearch.Site) bool {
+func coversSome(set []isa.Site, dyn [][]isa.Site) bool {
 	for _, d := range dyn {
 		all := true
 		for _, s := range d {
-			if !siteIn(staticfence.Site(s), set) {
+			if !siteIn(s, set) {
 				all = false
 				break
 			}
@@ -255,7 +230,7 @@ func coversSome(set []staticfence.Site, dyn [][]fencesearch.Site) bool {
 	return false
 }
 
-func siteIn(s staticfence.Site, set []staticfence.Site) bool {
+func siteIn(s isa.Site, set []isa.Site) bool {
 	for _, x := range set {
 		if x == s {
 			return true
@@ -267,21 +242,8 @@ func siteIn(s staticfence.Site, set []staticfence.Site) bool {
 // familiesEqual compares the two analyzers' minimal-set families (both are
 // emitted sorted by size then lexicographically, each set sorted by
 // (thread, pc)).
-func familiesEqual(st [][]staticfence.Site, dyn [][]fencesearch.Site) bool {
-	if len(st) != len(dyn) {
-		return false
-	}
-	for i := range st {
-		if len(st[i]) != len(dyn[i]) {
-			return false
-		}
-		for j := range st[i] {
-			if st[i][j] != staticfence.Site(dyn[i][j]) {
-				return false
-			}
-		}
-	}
-	return true
+func familiesEqual(st, dyn [][]isa.Site) bool {
+	return slices.EqualFunc(st, dyn, slices.Equal[[]isa.Site])
 }
 
 func conservativeDetail(c Cell) string {
@@ -322,7 +284,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "crossval: static (delay-set) vs dynamic (simulator) fence inference, %d seeds\n", r.Seeds)
 	for _, c := range r.Cells {
 		fmt.Fprintf(&b, "  %-6s %-16s %-20s static=%s dynamic=%s",
-			c.Test, c.Config, c.Class, family(c.StaticForbidden, sitesStrings(c.StaticMinimal)), family(c.DynamicForbidden, dynStrings(c.DynamicMinimal)))
+			c.Test, c.Config, c.Class, family(c.StaticForbidden, c.StaticMinimal), family(c.DynamicForbidden, c.DynamicMinimal))
 		if c.Detail != "" {
 			fmt.Fprintf(&b, "  (%s)", c.Detail)
 		}
@@ -334,17 +296,14 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-func family(forbidden bool, sets []string) string {
+// family renders a minimal-set family as "{T0@2,T1@2}+{...}".
+func family(forbidden bool, sets [][]isa.Site) string {
 	if forbidden {
 		return "forbidden"
 	}
 	if len(sets) == 0 {
 		return "-"
 	}
-	return strings.Join(sets, "+")
-}
-
-func sitesStrings(sets [][]staticfence.Site) []string {
 	out := make([]string, len(sets))
 	for i, set := range sets {
 		parts := make([]string, len(set))
@@ -353,17 +312,5 @@ func sitesStrings(sets [][]staticfence.Site) []string {
 		}
 		out[i] = "{" + strings.Join(parts, ",") + "}"
 	}
-	return out
-}
-
-func dynStrings(sets [][]fencesearch.Site) []string {
-	out := make([]string, len(sets))
-	for i, set := range sets {
-		parts := make([]string, len(set))
-		for j, s := range set {
-			parts[j] = s.String()
-		}
-		out[i] = "{" + strings.Join(parts, ",") + "}"
-	}
-	return out
+	return strings.Join(out, "+")
 }

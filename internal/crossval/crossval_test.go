@@ -7,8 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"invisifence/internal/fencesearch"
-	"invisifence/internal/staticfence"
+	"invisifence/internal/isa"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/crossval.golden from the current analyzers")
@@ -74,8 +73,8 @@ func TestCorpusSound(t *testing.T) {
 	if mp.Class != ClassConservative {
 		t.Errorf("MP/rmo: class %s, want %s", mp.Class, ClassConservative)
 	}
-	wantStatic := [][]staticfence.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 1}}}
-	wantDyn := [][]fencesearch.Site{{{Thread: 0, PC: 2}}}
+	wantStatic := [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 1}}}
+	wantDyn := [][]isa.Site{{{Thread: 0, PC: 2}}}
 	if len(mp.StaticMinimal) != 1 || len(mp.StaticMinimal[0]) != 2 ||
 		mp.StaticMinimal[0][0] != wantStatic[0][0] || mp.StaticMinimal[0][1] != wantStatic[0][1] {
 		t.Errorf("MP/rmo static = %v, want %v", mp.StaticMinimal, wantStatic)

@@ -24,7 +24,6 @@ package fencesearch
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -40,17 +39,6 @@ import (
 // evalVersion is folded into every evaluation cache key; bump when the
 // harness or the meaning of a cached evaluation changes.
 const evalVersion = "fencesearch/eval/v1"
-
-// Site is one fence-insertion point: immediately before the instruction at
-// PC in thread Thread's body program (pre-harness-prefix PC, as enumerated
-// by isa.FenceSites).
-type Site struct {
-	Thread int
-	PC     int
-}
-
-// String implements fmt.Stringer.
-func (s Site) String() string { return fmt.Sprintf("T%d@%d", s.Thread, s.PC) }
 
 // Input is a program-level search problem: thread bodies (unfenced), the
 // outcome protocol, and the target outcome to forbid.
@@ -103,7 +91,7 @@ type ModelResult struct {
 	// Minimal lists the minimal sufficient fence sets, each sorted by
 	// (thread, pc), in discovery order (by size, then lexicographic).
 	// Mutually incomparable by construction.
-	Minimal [][]Site
+	Minimal [][]isa.Site
 	// Evals counts candidate evaluations for this config (incl. baseline
 	// and, under Options.Prune, candidates answered statically).
 	Evals int
@@ -116,9 +104,9 @@ type Result struct {
 	Target litmus.OutcomeSpec
 	// Seeds is the per-evaluation sweep width.
 	Seeds int
-	// Sites is the global candidate list, thread-major then by PC; minimal
-	// sets index into it conceptually (they carry the sites directly).
-	Sites []Site
+	// Sites is the global candidate list (isa.Sites); minimal sets index
+	// into it conceptually (they carry the sites directly).
+	Sites []isa.Site
 	// SiteText disassembles the instruction each site precedes.
 	SiteText []string
 	// Models holds one entry per searched implementation, in query order.
@@ -153,7 +141,7 @@ type searcher struct {
 	in    Input
 	specs []litmus.ConfigSpec
 	opts  Options
-	sites []Site
+	sites []isa.Site
 	cache *runcache.Cache
 
 	mu        sync.Mutex
@@ -198,11 +186,7 @@ func SearchInput(in Input, specs []litmus.ConfigSpec, opts Options) (*Result, er
 		}
 		s.cache = c
 	}
-	for t, b := range in.Bodies {
-		for _, pc := range isa.FenceSites(b) {
-			s.sites = append(s.sites, Site{Thread: t, PC: pc})
-		}
-	}
+	s.sites = isa.Sites(in.Bodies)
 	return s.run()
 }
 
@@ -236,9 +220,9 @@ func (s *searcher) newPruner() *pruner {
 	}
 	// Critical cycles (hence WalkSites) are model-independent; any entry
 	// serves.
-	walk := map[Site]bool{}
+	walk := map[isa.Site]bool{}
 	for _, ws := range p.static[0].WalkSites() {
-		walk[Site(ws)] = true
+		walk[ws] = true
 	}
 	p.allowed = make([]bool, len(s.sites))
 	for i, site := range s.sites {
@@ -256,16 +240,6 @@ func (p *pruner) allows(comb []int) bool {
 		}
 	}
 	return true
-}
-
-// sufficient reports whether the candidate provably covers the config's
-// delay set (so the target cannot appear and simulation is unnecessary).
-func (p *pruner) sufficient(cfg int, sites []Site) bool {
-	set := make([]staticfence.Site, len(sites))
-	for i, s := range sites {
-		set[i] = staticfence.Site(s)
-	}
-	return p.static[cfg].Sufficient(set)
 }
 
 // entry is one lattice candidate of a level, in walk order; static entries
@@ -336,8 +310,10 @@ func (s *searcher) run() (*Result, error) {
 				if containsAnySet(comb, minimal[ci]) {
 					continue // superset of a sufficient set: never minimal
 				}
+				// A candidate that provably covers the config's delay set
+				// cannot admit the target: no need to simulate it.
 				entries = append(entries, entry{cfg: ci, comb: comb,
-					static: prune != nil && prune.sufficient(ci, s.sitesOf(comb))})
+					static: prune != nil && prune.static[ci].Sufficient(s.sitesOf(comb))})
 			}
 		}
 		if len(entries) == 0 {
@@ -381,8 +357,8 @@ func (s *searcher) run() (*Result, error) {
 }
 
 // sitesOf maps site indices to Sites.
-func (s *searcher) sitesOf(comb []int) []Site {
-	out := make([]Site, len(comb))
+func (s *searcher) sitesOf(comb []int) []isa.Site {
+	out := make([]isa.Site, len(comb))
 	for i, idx := range comb {
 		out[i] = s.sites[idx]
 	}
@@ -406,26 +382,20 @@ func (s *searcher) evalBatch(jobs []job) ([]evalOutcome, error) {
 // evaluation through the cache, simulating only on a miss.
 func (s *searcher) evaluate(j job) (evalOutcome, error) {
 	spec := s.specs[j.cfg]
-	perThread := make(map[int][]int)
-	for _, idx := range j.comb {
-		site := s.sites[idx]
-		perThread[site.Thread] = append(perThread[site.Thread], site.PC)
+	set := s.sitesOf(j.comb)
+	bodies, err := isa.FenceSet(s.in.Bodies, set)
+	if err != nil {
+		return evalOutcome{}, err
 	}
-	bodies := make([]*isa.Program, len(s.in.Bodies))
-	keyProgs := make([][]isa.Instr, len(s.in.Bodies))
-	for t, b := range s.in.Bodies {
-		fenced, err := isa.InsertFences(b, perThread[t])
-		if err != nil {
-			return evalOutcome{}, err
-		}
-		bodies[t] = fenced
-		keyProgs[t] = progKey(fenced)
+	keyProgs := make([][]isa.Instr, len(bodies))
+	for t, b := range bodies {
+		keyProgs[t] = progKey(b)
 	}
 	key := runcache.MustKey(evalVersion, spec.Name, spec.Model, spec.Engine,
 		s.opts.Seeds, s.in.Jitter, s.in.Target, s.in.Slots, s.in.Finals, keyProgs)
 	out, origin, err := runcache.Resolve(s.cache, key, func() (evalOutcome, error) {
 		h := litmus.Harness{
-			Name:   fmt.Sprintf("%s%v", s.in.Name, s.sitesOf(j.comb)),
+			Name:   fmt.Sprintf("%s%v", s.in.Name, set),
 			Slots:  s.in.Slots,
 			Finals: s.in.Finals,
 			Bodies: bodies,
@@ -608,7 +578,7 @@ func (r *Result) Report() string {
 }
 
 // joinSites renders a fence set with its site labels and disassembly.
-func joinSites(set []Site, r *Result) string {
+func joinSites(set []isa.Site, r *Result) string {
 	parts := make([]string, len(set))
 	for i, site := range set {
 		label := site.String()
@@ -628,14 +598,4 @@ func joinSites(set []Site, r *Result) string {
 func (r *Result) TrafficString() string {
 	return fmt.Sprintf("fencesearch: %d evaluations, %d simulated (%d runs), %d cache hits, %d static",
 		r.Evals, r.Simulated, r.Runs, r.CacheHits, r.Static)
-}
-
-// sortSites orders a site set by (thread, pc); used by tests.
-func sortSites(set []Site) {
-	sort.Slice(set, func(i, j int) bool {
-		if set[i].Thread != set[j].Thread {
-			return set[i].Thread < set[j].Thread
-		}
-		return set[i].PC < set[j].PC
-	})
 }

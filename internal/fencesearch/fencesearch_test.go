@@ -23,23 +23,23 @@ func search(t testing.TB, test string, configs []string, opts Options) *Result {
 func TestKnownMinimalSets(t *testing.T) {
 	cases := []struct {
 		test, config string
-		want         [][]Site
+		want         [][]isa.Site
 	}{
 		// MP under RMO: only the writer-side fence (before the flag store)
 		// is needed — the reader side is closed by load-queue snooping,
 		// which squashes and replays any in-window load whose block is
 		// invalidated, so in-order retirement forbids load-load reordering.
-		{"MP", "rmo", [][]Site{{{Thread: 0, PC: 2}}}},
-		{"MP", "invisi-rmo", [][]Site{{{Thread: 0, PC: 2}}}},
+		{"MP", "rmo", [][]isa.Site{{{Thread: 0, PC: 2}}}},
+		{"MP", "invisi-rmo", [][]isa.Site{{{Thread: 0, PC: 2}}}},
 		// SB under RMO: the classic pair — a full fence between each
 		// thread's store and its load. No single fence suffices.
-		{"SB", "rmo", [][]Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
-		{"SB", "tso", [][]Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
+		{"SB", "rmo", [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
+		{"SB", "tso", [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
 		// 2+2W under RMO: either thread's store-store fence alone restores
 		// enough order — two alternative singleton solutions.
-		{"2+2W", "rmo", [][]Site{{{Thread: 0, PC: 3}}, {{Thread: 1, PC: 3}}}},
+		{"2+2W", "rmo", [][]isa.Site{{{Thread: 0, PC: 3}}, {{Thread: 1, PC: 3}}}},
 		// R under TSO: fencing either thread's last access works.
-		{"R", "tso", [][]Site{{{Thread: 0, PC: 2}}, {{Thread: 1, PC: 2}}}},
+		{"R", "tso", [][]isa.Site{{{Thread: 0, PC: 2}}, {{Thread: 1, PC: 2}}}},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -103,18 +103,10 @@ func TestOracleCrossCheck(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			simulate := func(spec litmus.ConfigSpec, set []Site) int {
-				perThread := make(map[int][]int)
-				for _, s := range set {
-					perThread[s.Thread] = append(perThread[s.Thread], s.PC)
-				}
-				fenced := make([]*isa.Program, len(bodies))
-				for ti, b := range bodies {
-					fb, err := isa.InsertFences(b, perThread[ti])
-					if err != nil {
-						t.Fatal(err)
-					}
-					fenced[ti] = fb
+			simulate := func(spec litmus.ConfigSpec, set []isa.Site) int {
+				fenced, err := isa.FenceSet(bodies, set)
+				if err != nil {
+					t.Fatal(err)
 				}
 				h := litmus.Harness{Name: q.test, Slots: tt.Slots, Finals: tt.FinalVars, Bodies: fenced}
 				return litmus.CountMatches(h.Sweep(spec, seeds), tt.Target)
@@ -134,7 +126,7 @@ func TestOracleCrossCheck(t *testing.T) {
 					}
 					// Minimality: dropping any one fence re-admits it.
 					for drop := range set {
-						sub := make([]Site, 0, len(set)-1)
+						sub := make([]isa.Site, 0, len(set)-1)
 						sub = append(sub, set[:drop]...)
 						sub = append(sub, set[drop+1:]...)
 						if n := simulate(specs[mi], sub); n == 0 {
@@ -156,7 +148,7 @@ func TestOracleCrossCheck(t *testing.T) {
 }
 
 // siteSubset reports a ⊆ b for site sets.
-func siteSubset(a, b []Site) bool {
+func siteSubset(a, b []isa.Site) bool {
 	for _, s := range a {
 		found := false
 		for _, x := range b {
@@ -278,15 +270,6 @@ func TestIsSubset(t *testing.T) {
 	}
 }
 
-func TestSortSites(t *testing.T) {
-	set := []Site{{1, 3}, {0, 2}, {1, 1}}
-	sortSites(set)
-	want := []Site{{0, 2}, {1, 1}, {1, 3}}
-	if !reflect.DeepEqual(set, want) {
-		t.Fatalf("sortSites = %v, want %v", set, want)
-	}
-}
-
 // fuzzTests and fuzzConfigs bound the fuzz domain to searchable corpus
 // entries and the implementations whose lattices stay small enough for a
 // per-input full search.
@@ -324,17 +307,9 @@ func FuzzFenceSearch(f *testing.F) {
 		specs, _ := resolveConfigs([]string{config})
 		m := res.Models[0]
 		for _, set := range m.Minimal {
-			perThread := make(map[int][]int)
-			for _, s := range set {
-				perThread[s.Thread] = append(perThread[s.Thread], s.PC)
-			}
-			fenced := make([]*isa.Program, len(bodies))
-			for bi, b := range bodies {
-				fb, err := isa.InsertFences(b, perThread[bi])
-				if err != nil {
-					t.Fatal(err)
-				}
-				fenced[bi] = fb
+			fenced, err := isa.FenceSet(bodies, set)
+			if err != nil {
+				t.Fatal(err)
 			}
 			h := litmus.Harness{Name: test, Slots: tt.Slots, Finals: tt.FinalVars, Bodies: fenced}
 			if n := litmus.CountMatches(h.Sweep(specs[0], nseeds), tt.Target); n != 0 {

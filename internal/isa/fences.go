@@ -124,3 +124,59 @@ func FenceSites(p *Program) []int {
 	}
 	return sites
 }
+
+// Site is one fence-insertion point: immediately before the instruction at
+// PC in thread Thread's body program, PC counted before any harness prefix
+// (the vocabulary of FenceSites). It is how the static delay-set analysis,
+// the simulator-driven fence search and their cross-validation all name a
+// fence.
+type Site struct {
+	Thread int
+	PC     int
+}
+
+// String renders "T1@2".
+func (s Site) String() string { return fmt.Sprintf("T%d@%d", s.Thread, s.PC) }
+
+// Less orders sites by thread, then PC: the order of Sites and of every
+// reported fence set.
+func (s Site) Less(o Site) bool {
+	if s.Thread != o.Thread {
+		return s.Thread < o.Thread
+	}
+	return s.PC < o.PC
+}
+
+// Sites lists the candidate fence sites of a multi-threaded program: each
+// body's FenceSites, thread-major.
+func Sites(bodies []*Program) []Site {
+	var out []Site
+	for t, b := range bodies {
+		for _, pc := range FenceSites(b) {
+			out = append(out, Site{Thread: t, PC: pc})
+		}
+	}
+	return out
+}
+
+// FenceSet returns the bodies with a full fence inserted before every site
+// of set, through InsertFences per thread (a thread with no site gets a
+// copy of its body). A site naming a thread outside bodies is an error.
+func FenceSet(bodies []*Program, set []Site) ([]*Program, error) {
+	pcs := make([][]int, len(bodies))
+	for _, s := range set {
+		if s.Thread < 0 || s.Thread >= len(bodies) {
+			return nil, fmt.Errorf("isa: fence site %v: thread out of range [0,%d)", s, len(bodies))
+		}
+		pcs[s.Thread] = append(pcs[s.Thread], s.PC)
+	}
+	fenced := make([]*Program, len(bodies))
+	for t, b := range bodies {
+		f, err := InsertFences(b, pcs[t])
+		if err != nil {
+			return nil, err
+		}
+		fenced[t] = f
+	}
+	return fenced, nil
+}

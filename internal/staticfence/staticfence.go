@@ -47,17 +47,6 @@ import (
 	"invisifence/internal/litmus"
 )
 
-// Site is one fence-insertion point, in the same vocabulary as
-// internal/fencesearch: immediately before the instruction at PC in thread
-// Thread's body program.
-type Site struct {
-	Thread int
-	PC     int
-}
-
-// String implements fmt.Stringer.
-func (s Site) String() string { return fmt.Sprintf("T%d@%d", s.Thread, s.PC) }
-
 // Event is one shared-memory access of the event graph.
 type Event struct {
 	Thread int
@@ -340,13 +329,13 @@ type Result struct {
 	// Delays is the model-refined delay set: the union over feasible
 	// cycles of their relaxed po edges, deduplicated and sorted.
 	Delays []POEdge
-	// Sites is the fence-site candidate list (isa.FenceSites vocabulary,
-	// identical to internal/fencesearch's).
-	Sites []Site
+	// Sites is the fence-site candidate list (isa.Sites, identical to
+	// internal/fencesearch's).
+	Sites []isa.Site
 	// Minimal lists the minimal fence-site covers of the delay set: each
 	// set cuts every delay edge, no strict subset does, sorted by size
 	// then lexicographically. Empty iff Delays is empty.
-	Minimal [][]Site
+	Minimal [][]isa.Site
 }
 
 // Analyze builds the event graph and computes the delay set and minimal
@@ -388,11 +377,7 @@ func Analyze(name string, bodies []*isa.Program, m consistency.Model, lay Layout
 		}
 		return a.To.PC < b.To.PC
 	})
-	for t, body := range bodies {
-		for _, pc := range isa.FenceSites(body) {
-			r.Sites = append(r.Sites, Site{Thread: t, PC: pc})
-		}
-	}
+	r.Sites = isa.Sites(bodies)
 	r.Minimal, err = minimalCovers(r.Delays, r.Sites)
 	if err != nil {
 		return nil, fmt.Errorf("staticfence: %s/%v: %w", name, m, err)
@@ -422,13 +407,13 @@ func (r *Result) AlreadyForbidden() bool { return len(r.Delays) == 0 }
 // Cuts reports whether a fence at the site orders the edge's endpoints: the
 // site lies strictly after From and at-or-before To in the same thread
 // (isa.InsertFences places the fence immediately before the site's PC).
-func Cuts(s Site, e POEdge) bool {
+func Cuts(s isa.Site, e POEdge) bool {
 	return s.Thread == e.From.Thread && e.From.PC < s.PC && s.PC <= e.To.PC
 }
 
 // Sufficient reports whether the site set cuts every delay edge — the
 // static sufficiency certificate used by fencesearch's pruned walk.
-func (r *Result) Sufficient(set []Site) bool {
+func (r *Result) Sufficient(set []isa.Site) bool {
 	for _, d := range r.Delays {
 		cut := false
 		for _, s := range set {
@@ -448,12 +433,12 @@ func (r *Result) Sufficient(set []Site) bool {
 // at least one critical cycle (feasible or not). A fence anywhere else can
 // only order pairs that no communication cycle passes through — it cannot
 // change which outcomes are reachable, so a search walk may skip it.
-func (r *Result) WalkSites() []Site {
+func (r *Result) WalkSites() []isa.Site {
 	var poEdges []POEdge
 	for _, c := range r.Cycles {
 		poEdges = append(poEdges, c.PO...)
 	}
-	var out []Site
+	var out []isa.Site
 	for _, s := range r.Sites {
 		for _, e := range poEdges {
 			if Cuts(s, e) {
@@ -470,7 +455,7 @@ func (r *Result) WalkSites() []Site {
 // construction should make impossible (the edge's To is itself a site
 // unless a fence already precedes it, in which case the edge is not a
 // delay).
-func minimalCovers(delays []POEdge, sites []Site) ([][]Site, error) {
+func minimalCovers(delays []POEdge, sites []isa.Site) ([][]isa.Site, error) {
 	if len(delays) == 0 {
 		return nil, nil
 	}
@@ -486,9 +471,9 @@ func minimalCovers(delays []POEdge, sites []Site) ([][]Site, error) {
 			return nil, fmt.Errorf("delay edge %v has no candidate fence site", d)
 		}
 	}
-	var covers [][]Site
-	var rec func(chosen []Site)
-	rec = func(chosen []Site) {
+	var covers [][]isa.Site
+	var rec func(chosen []isa.Site)
+	rec = func(chosen []isa.Site) {
 		// First uncovered delay edge.
 		var need *POEdge
 		for i := range delays {
@@ -505,7 +490,7 @@ func minimalCovers(delays []POEdge, sites []Site) ([][]Site, error) {
 			}
 		}
 		if need == nil {
-			covers = append(covers, append([]Site(nil), chosen...))
+			covers = append(covers, append([]isa.Site(nil), chosen...))
 			return
 		}
 		for _, s := range sites {
@@ -521,11 +506,11 @@ func minimalCovers(delays []POEdge, sites []Site) ([][]Site, error) {
 // canonicalizeCovers sorts each cover, deduplicates, drops non-minimal
 // covers (strict supersets of another cover), and orders the family by
 // size then lexicographically.
-func canonicalizeCovers(covers [][]Site) [][]Site {
+func canonicalizeCovers(covers [][]isa.Site) [][]isa.Site {
 	seen := map[string]bool{}
-	var uniq [][]Site
+	var uniq [][]isa.Site
 	for _, c := range covers {
-		sortSites(c)
+		sort.Slice(c, func(i, j int) bool { return c[i].Less(c[j]) })
 		c = dedupeSites(c)
 		sig := fmt.Sprint(c)
 		if !seen[sig] {
@@ -533,7 +518,7 @@ func canonicalizeCovers(covers [][]Site) [][]Site {
 			uniq = append(uniq, c)
 		}
 	}
-	var minimal [][]Site
+	var minimal [][]isa.Site
 	for i, c := range uniq {
 		dominated := false
 		for j, d := range uniq {
@@ -553,10 +538,7 @@ func canonicalizeCovers(covers [][]Site) [][]Site {
 		}
 		for k := range a {
 			if a[k] != b[k] {
-				if a[k].Thread != b[k].Thread {
-					return a[k].Thread < b[k].Thread
-				}
-				return a[k].PC < b[k].PC
+				return a[k].Less(b[k])
 			}
 		}
 		return false
@@ -564,16 +546,7 @@ func canonicalizeCovers(covers [][]Site) [][]Site {
 	return minimal
 }
 
-func sortSites(set []Site) {
-	sort.Slice(set, func(i, j int) bool {
-		if set[i].Thread != set[j].Thread {
-			return set[i].Thread < set[j].Thread
-		}
-		return set[i].PC < set[j].PC
-	})
-}
-
-func dedupeSites(set []Site) []Site {
+func dedupeSites(set []isa.Site) []isa.Site {
 	out := set[:0]
 	for i, s := range set {
 		if i == 0 || s != set[i-1] {
@@ -583,7 +556,7 @@ func dedupeSites(set []Site) []Site {
 	return out
 }
 
-func siteSubset(a, b []Site) bool {
+func siteSubset(a, b []isa.Site) bool {
 	for _, s := range a {
 		found := false
 		for _, x := range b {

@@ -24,7 +24,7 @@ func analyze(t *testing.T, name string, m consistency.Model) *Result {
 	return nil
 }
 
-func sitesEqual(a, b [][]Site) bool {
+func sitesEqual(a, b [][]isa.Site) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -48,11 +48,11 @@ func TestExpectations(t *testing.T) {
 	cases := []struct {
 		test  string
 		model consistency.Model
-		want  [][]Site
+		want  [][]isa.Site
 	}{
 		{"SB", consistency.SC, nil},
-		{"SB", consistency.TSO, [][]Site{{{0, 2}, {1, 2}}}},
-		{"SB", consistency.RMO, [][]Site{{{0, 2}, {1, 2}}}},
+		{"SB", consistency.TSO, [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
+		{"SB", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
 
 		{"MP", consistency.SC, nil},
 		{"MP", consistency.TSO, nil},
@@ -60,15 +60,15 @@ func TestExpectations(t *testing.T) {
 		// reader-side fence (T1@1) under RMO; the machine's load-queue
 		// snooping makes it dynamically unnecessary (fencesearch pins
 		// {{T0@2}} only).
-		{"MP", consistency.RMO, [][]Site{{{0, 2}, {1, 1}}}},
+		{"MP", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 1}}}},
 
 		{"LB", consistency.SC, nil},
 		{"LB", consistency.TSO, nil},
-		{"LB", consistency.RMO, [][]Site{{{0, 2}, {1, 2}}}},
+		{"LB", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
 
 		{"IRIW", consistency.SC, nil},
 		{"IRIW", consistency.TSO, nil},
-		{"IRIW", consistency.RMO, [][]Site{{{2, 1}, {3, 1}}}},
+		{"IRIW", consistency.RMO, [][]isa.Site{{{Thread: 2, PC: 1}, {Thread: 3, PC: 1}}}},
 
 		// The body's own fence separates the store/load pair: forbidden
 		// under every model with no further fences.
@@ -77,7 +77,7 @@ func TestExpectations(t *testing.T) {
 		{"SB+F", consistency.RMO, nil},
 
 		{"WRC", consistency.TSO, nil},
-		{"WRC", consistency.RMO, [][]Site{{{1, 1}, {2, 1}}}},
+		{"WRC", consistency.RMO, [][]isa.Site{{{Thread: 1, PC: 1}, {Thread: 2, PC: 1}}}},
 
 		// Same-address pairs are coherence-ordered: no delay under any
 		// model.
@@ -90,18 +90,18 @@ func TestExpectations(t *testing.T) {
 		{"RMW", consistency.RMO, nil},
 
 		{"ISA2", consistency.TSO, nil},
-		{"ISA2", consistency.RMO, [][]Site{{{0, 2}, {1, 1}, {2, 1}}}},
+		{"ISA2", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 1}, {Thread: 2, PC: 1}}}},
 
 		{"2+2W", consistency.SC, nil},
 		{"2+2W", consistency.TSO, nil},
-		{"2+2W", consistency.RMO, [][]Site{{{0, 3}, {1, 3}}}},
+		{"2+2W", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 3}, {Thread: 1, PC: 3}}}},
 
 		{"R", consistency.SC, nil},
-		{"R", consistency.TSO, [][]Site{{{1, 2}}}},
-		{"R", consistency.RMO, [][]Site{{{0, 2}, {1, 2}}}},
+		{"R", consistency.TSO, [][]isa.Site{{{Thread: 1, PC: 2}}}},
+		{"R", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}}}},
 
 		{"S", consistency.TSO, nil},
-		{"S", consistency.RMO, [][]Site{{{0, 3}, {1, 2}}}},
+		{"S", consistency.RMO, [][]isa.Site{{{Thread: 0, PC: 3}, {Thread: 1, PC: 2}}}},
 	}
 	for _, c := range cases {
 		r := analyze(t, c.test, c.model)
@@ -138,7 +138,7 @@ func TestMinimalCoversAreMinimalAndSufficient(t *testing.T) {
 					t.Errorf("%s/%v: minimal set %v does not cover delays %v", lt.Name, m, set, r.Delays)
 				}
 				for i := range set {
-					reduced := append(append([]Site(nil), set[:i]...), set[i+1:]...)
+					reduced := append(append([]isa.Site(nil), set[:i]...), set[i+1:]...)
 					if r.Sufficient(reduced) {
 						t.Errorf("%s/%v: set %v is not minimal (%v suffices)", lt.Name, m, set, reduced)
 					}
@@ -155,23 +155,23 @@ func TestMinimalCoversAreMinimalAndSufficient(t *testing.T) {
 // (T1@3 precedes only the private result store).
 func TestWalkSites(t *testing.T) {
 	r := analyze(t, "R", consistency.TSO)
-	got := map[Site]bool{}
+	got := map[isa.Site]bool{}
 	for _, s := range r.WalkSites() {
 		got[s] = true
 	}
-	for _, want := range []Site{{0, 2}, {1, 2}} {
+	for _, want := range []isa.Site{{Thread: 0, PC: 2}, {Thread: 1, PC: 2}} {
 		if !got[want] {
 			t.Errorf("R/tso: WalkSites missing %v (got %v)", want, r.WalkSites())
 		}
 	}
-	if got[Site{1, 3}] {
+	if got[isa.Site{Thread: 1, PC: 3}] {
 		t.Errorf("R/tso: WalkSites includes T1@3, which cuts no critical-cycle pair")
 	}
 	// MP: only T0@2 and T1@1 touch the cycle; T1@2 and T1@3 guard result
 	// stores only.
 	r = analyze(t, "MP", consistency.RMO)
 	ws := r.WalkSites()
-	if len(ws) != 2 || ws[0] != (Site{0, 2}) || ws[1] != (Site{1, 1}) {
+	if len(ws) != 2 || ws[0] != (isa.Site{Thread: 0, PC: 2}) || ws[1] != (isa.Site{Thread: 1, PC: 1}) {
 		t.Errorf("MP/rmo: WalkSites = %v, want [T0@2 T1@1]", ws)
 	}
 }

@@ -1,15 +1,11 @@
-// Package sweep expands declarative parameter grids into job lists and
-// executes them on a bounded work-stealing worker pool with deterministic
-// result ordering.
+// Package sweep executes job lists on a bounded work-stealing worker pool
+// with deterministic result ordering.
 //
-// A Grid is an ordered list of named axes; Expand produces the full
-// cartesian product in row-major order (the last axis varies fastest), so
-// a grid expands to the same job sequence on every run. Run then maps an
-// arbitrary job slice through a worker function: results come back indexed
-// exactly like the input jobs regardless of worker count or completion
-// order, which keeps downstream tables byte-identical between a serial
-// debug run and a 32-way sweep. Run is one-shot; long-running callers
-// (the sweepd campaign server) use Pool directly, whose per-worker
+// Run maps an arbitrary job slice through a worker function: results come
+// back indexed exactly like the input jobs regardless of worker count or
+// completion order, which keeps downstream tables byte-identical between a
+// serial debug run and a 32-way sweep. Run is one-shot; long-running
+// callers (the sweepd campaign server) use Pool directly, whose per-worker
 // stealable queues keep skewed cell costs from serializing behind one
 // worker.
 package sweep
@@ -21,90 +17,12 @@ import (
 	"sync/atomic"
 )
 
-// Axis is one dimension of a parameter grid.
-type Axis struct {
-	// Name labels the axis ("workload", "seed", ...).
-	Name string
-	// Values are the points along the axis, in sweep order.
-	Values []any
-}
-
-// Grid is an ordered set of axes describing a cross-product of runs.
-type Grid struct {
-	Axes []Axis
-}
-
-// Size returns the number of points in the product (1 for an empty grid,
-// 0 if any axis is empty).
-func (g Grid) Size() int {
-	n := 1
-	for _, a := range g.Axes {
-		n *= len(a.Values)
-	}
-	return n
-}
-
-// Point is one cell of an expanded grid.
-type Point struct {
-	// Index is the point's row-major position in the expansion.
-	Index int
-	// Values holds one value per axis, in axis order.
-	Values []any
-}
-
-// Value returns the point's value for the named axis, or nil.
-func (p Point) Value(g Grid, name string) any {
-	for i, a := range g.Axes {
-		if a.Name == name {
-			return p.Values[i]
-		}
-	}
-	return nil
-}
-
-// Expand enumerates the grid's cartesian product in row-major order: the
-// first axis varies slowest, the last fastest. The result is deterministic
-// for a given grid.
-func (g Grid) Expand() []Point {
-	n := g.Size()
-	if n == 0 {
-		return nil
-	}
-	points := make([]Point, n)
-	for i := 0; i < n; i++ {
-		vals := make([]any, len(g.Axes))
-		rem := i
-		for ax := len(g.Axes) - 1; ax >= 0; ax-- {
-			k := len(g.Axes[ax].Values)
-			vals[ax] = g.Axes[ax].Values[rem%k]
-			rem /= k
-		}
-		points[i] = Point{Index: i, Values: vals}
-	}
-	return points
-}
-
-// Progress reports pool state after each job completes.
-type Progress struct {
-	// Done and Total count completed vs scheduled jobs.
-	Done, Total int
-	// Index identifies the job that just finished.
-	Index int
-	// Err is that job's error, if any.
-	Err error
-}
-
 // Options configures Run.
 type Options struct {
 	// Workers bounds concurrency (values < 1 mean 1). Simulations stay
 	// single-threaded internally; the pool only parallelizes independent
 	// jobs.
 	Workers int
-	// OnProgress, when set, is called after each job completes. Calls
-	// are serialized (a slow callback stalls the pool) and Done is
-	// monotone, but completion order is nondeterministic; use the Index
-	// field, not call order.
-	OnProgress func(Progress)
 }
 
 // JobError wraps the first-by-index failure of a sweep.
@@ -149,7 +67,6 @@ func Run[J, R any](jobs []J, opts Options, fn func(J) (R, error)) ([]R, error) {
 		failed atomic.Bool  // stop claiming new jobs after any failure
 
 		mu   sync.Mutex
-		done int
 		errs []*JobError
 	)
 	// One task per job, but tasks claim indexes from a shared counter
@@ -166,20 +83,14 @@ func Run[J, R any](jobs []J, opts Options, fn func(J) (R, error)) ([]R, error) {
 				return
 			}
 			r, err := fn(jobs[i])
-			mu.Lock()
 			if err != nil {
 				failed.Store(true)
+				mu.Lock()
 				errs = append(errs, &JobError{Index: i, Err: err})
-			} else {
-				results[i] = r
+				mu.Unlock()
+				return
 			}
-			done++
-			// The callback runs under mu so invocations are
-			// serialized and Done is monotone, as documented.
-			if opts.OnProgress != nil {
-				opts.OnProgress(Progress{Done: done, Total: len(jobs), Index: i, Err: err})
-			}
-			mu.Unlock()
+			results[i] = r
 		})
 	}
 	pool.Close()

@@ -4,72 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
-
-func grid3x2() Grid {
-	return Grid{Axes: []Axis{
-		{Name: "workload", Values: []any{"a", "b", "c"}},
-		{Name: "seed", Values: []any{1, 2}},
-	}}
-}
-
-func TestGridSize(t *testing.T) {
-	if n := grid3x2().Size(); n != 6 {
-		t.Fatalf("size: %d", n)
-	}
-	if n := (Grid{}).Size(); n != 1 {
-		t.Fatalf("empty grid size: %d", n)
-	}
-	empty := Grid{Axes: []Axis{{Name: "x", Values: nil}}}
-	if n := empty.Size(); n != 0 {
-		t.Fatalf("empty axis size: %d", n)
-	}
-	if pts := empty.Expand(); pts != nil {
-		t.Fatalf("empty axis expand: %v", pts)
-	}
-}
-
-func TestGridExpandRowMajor(t *testing.T) {
-	pts := grid3x2().Expand()
-	want := [][]any{
-		{"a", 1}, {"a", 2},
-		{"b", 1}, {"b", 2},
-		{"c", 1}, {"c", 2},
-	}
-	if len(pts) != len(want) {
-		t.Fatalf("point count: %d", len(pts))
-	}
-	for i, p := range pts {
-		if p.Index != i {
-			t.Fatalf("point %d has index %d", i, p.Index)
-		}
-		if !reflect.DeepEqual(p.Values, want[i]) {
-			t.Fatalf("point %d: %v, want %v", i, p.Values, want[i])
-		}
-	}
-	// Expansion is deterministic.
-	if !reflect.DeepEqual(grid3x2().Expand(), pts) {
-		t.Fatal("expansion not reproducible")
-	}
-}
-
-func TestPointValue(t *testing.T) {
-	g := grid3x2()
-	p := g.Expand()[3] // {"b", 2}
-	if v := p.Value(g, "workload"); v != "b" {
-		t.Fatalf("workload: %v", v)
-	}
-	if v := p.Value(g, "seed"); v != 2 {
-		t.Fatalf("seed: %v", v)
-	}
-	if v := p.Value(g, "nope"); v != nil {
-		t.Fatalf("unknown axis: %v", v)
-	}
-}
 
 // TestRunDeterministicOrder is the core worker-pool guarantee: the result
 // slice is ordered by job index no matter how many workers run or how the
@@ -167,28 +105,6 @@ func TestRunStopsSchedulingAfterError(t *testing.T) {
 	}
 	if n := started.Load(); n > 10 {
 		t.Fatalf("pool kept scheduling after failure: %d jobs started", n)
-	}
-}
-
-func TestRunProgress(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[int]bool)
-	last := 0
-	jobs := []int{10, 20, 30, 40}
-	_, err := Run(jobs, Options{Workers: 2, OnProgress: func(p Progress) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p.Total != 4 {
-			t.Errorf("total: %d", p.Total)
-		}
-		seen[p.Index] = true
-		last = p.Done
-	}}, func(j int) (int, error) { return j, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 4 || last != 4 {
-		t.Fatalf("progress coverage: %v, last done %d", seen, last)
 	}
 }
 

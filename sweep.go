@@ -106,27 +106,6 @@ func (s SweepSpec) normalized() SweepSpec {
 	return s
 }
 
-// grid builds the declarative axes in canonical order (workload slowest,
-// seed fastest), matching the row order of SweepOutcome.Table.
-func (s SweepSpec) grid() sweep.Grid {
-	anys := func(n int, at func(int) any) []any {
-		vs := make([]any, n)
-		for i := range vs {
-			vs[i] = at(i)
-		}
-		return vs
-	}
-	return sweep.Grid{Axes: []sweep.Axis{
-		{Name: "workload", Values: anys(len(s.Workloads), func(i int) any { return s.Workloads[i] })},
-		{Name: "variant", Values: anys(len(s.Variants), func(i int) any { return s.Variants[i] })},
-		{Name: "sb", Values: anys(len(s.SBDepths), func(i int) any { return s.SBDepths[i] })},
-		{Name: "ckpt", Values: anys(len(s.Checkpoints), func(i int) any { return s.Checkpoints[i] })},
-		{Name: "nodes", Values: anys(len(s.Nodes), func(i int) any { return s.Nodes[i] })},
-		{Name: "linkbw", Values: anys(len(s.LinkBandwidths), func(i int) any { return s.LinkBandwidths[i] })},
-		{Name: "seed", Values: anys(len(s.Seeds), func(i int) any { return s.Seeds[i] })},
-	}}
-}
-
 // Jobs expands the spec into concrete run configurations, in deterministic
 // row-major order (workload slowest, seed fastest). Cells that expand to
 // identical configurations — e.g. a Checkpoints axis crossed with a
@@ -134,17 +113,25 @@ func (s SweepSpec) grid() sweep.Grid {
 // first occurrence, so no configuration ever simulates twice.
 func (s SweepSpec) Jobs() ([]Config, error) {
 	s = s.normalized()
-	points := s.grid().Expand()
-	jobs := make([]Config, 0, len(points))
-	seen := make(map[string]bool, len(points))
-	for _, p := range points {
-		wl := p.Values[0].(string)
-		vname := p.Values[1].(string)
-		sbDepth := p.Values[2].(int)
-		ckpts := p.Values[3].(int)
-		nodes := p.Values[4].(int)
-		linkbw := p.Values[5].(uint64)
-		seed := p.Values[6].(int64)
+	n := s.Size()
+	jobs := make([]Config, 0, n)
+	seen := make(map[string]bool, n)
+	for i := 0; i < n; i++ {
+		// Cell i's axis positions, read off like the digits of a
+		// mixed-radix number whose last digit is the seed.
+		rem := i
+		next := func(axisLen int) int {
+			k := rem % axisLen
+			rem /= axisLen
+			return k
+		}
+		seed := s.Seeds[next(len(s.Seeds))]
+		linkbw := s.LinkBandwidths[next(len(s.LinkBandwidths))]
+		nodes := s.Nodes[next(len(s.Nodes))]
+		ckpts := s.Checkpoints[next(len(s.Checkpoints))]
+		sbDepth := s.SBDepths[next(len(s.SBDepths))]
+		vname := s.Variants[next(len(s.Variants))]
+		wl := s.Workloads[next(len(s.Workloads))]
 
 		v, err := VariantByName(vname)
 		if err != nil {
@@ -185,8 +172,13 @@ func (s SweepSpec) Jobs() ([]Config, error) {
 }
 
 // Size returns the number of cells in the spec's grid before
-// deduplication; len(Jobs()) can be smaller when axes overlap (see Jobs).
-func (s SweepSpec) Size() int { return s.normalized().grid().Size() }
+// deduplication, the product of the axis lengths; len(Jobs()) can be
+// smaller when axes overlap (see Jobs).
+func (s SweepSpec) Size() int {
+	s = s.normalized()
+	return len(s.Workloads) * len(s.Variants) * len(s.SBDepths) * len(s.Checkpoints) *
+		len(s.Nodes) * len(s.LinkBandwidths) * len(s.Seeds)
+}
 
 // SweepOptions configures Sweep's execution (not its results: two sweeps
 // of the same spec produce identical outcomes whatever the options).
