@@ -218,21 +218,12 @@ func coversSome(set []isa.Site, dyn [][]isa.Site) bool {
 	for _, d := range dyn {
 		all := true
 		for _, s := range d {
-			if !siteIn(s, set) {
+			if !slices.Contains(set, s) {
 				all = false
 				break
 			}
 		}
 		if all {
-			return true
-		}
-	}
-	return false
-}
-
-func siteIn(s isa.Site, set []isa.Site) bool {
-	for _, x := range set {
-		if x == s {
 			return true
 		}
 	}
