@@ -1,7 +1,11 @@
-// Package sweep executes job lists on a bounded work-stealing worker pool
-// with deterministic result ordering.
+// Package sweep numbers the cells of parameter grids and executes job
+// lists on a bounded work-stealing worker pool with deterministic result
+// ordering.
 //
-// Run maps an arbitrary job slice through a worker function: results come
+// A Grid is the shape of a cross-product: one length per axis. Expand
+// lists every cell's axis positions in row-major order (the last axis
+// varies fastest), so a grid expands to the same job sequence on every
+// run. Run maps an arbitrary job slice through a worker function: results come
 // back indexed exactly like the input jobs regardless of worker count or
 // completion order, which keeps downstream tables byte-identical between a
 // serial debug run and a 32-way sweep. Run is one-shot; long-running
@@ -16,6 +20,42 @@ import (
 	"sync"
 	"sync/atomic"
 )
+
+// Grid is the shape of a parameter grid: the number of values on each
+// axis, first axis slowest.
+type Grid []int
+
+// Size returns the number of cells in the product (1 for an empty grid,
+// 0 if any axis is empty).
+func (g Grid) Size() int {
+	n := 1
+	for _, k := range g {
+		n *= k
+	}
+	return n
+}
+
+// Expand returns every cell's axis positions (one index per axis) in
+// row-major order: the first axis varies slowest, the last fastest. It
+// returns nil when the product is empty.
+func (g Grid) Expand() [][]int {
+	n := g.Size()
+	if n == 0 {
+		return nil
+	}
+	cells := make([][]int, n)
+	pos := make([]int, n*len(g))
+	for i := range cells {
+		c := pos[i*len(g) : (i+1)*len(g) : (i+1)*len(g)]
+		rem := i
+		for ax := len(g) - 1; ax >= 0; ax-- {
+			c[ax] = rem % g[ax]
+			rem /= g[ax]
+		}
+		cells[i] = c
+	}
+	return cells
+}
 
 // Options configures Run.
 type Options struct {

@@ -9,6 +9,44 @@ import (
 	"time"
 )
 
+func TestGridSize(t *testing.T) {
+	if n := (Grid{3, 2}).Size(); n != 6 {
+		t.Fatalf("size: %d", n)
+	}
+	if n := (Grid{}).Size(); n != 1 {
+		t.Fatalf("empty grid size: %d", n)
+	}
+	empty := Grid{3, 0}
+	if n := empty.Size(); n != 0 {
+		t.Fatalf("empty axis size: %d", n)
+	}
+	if cells := empty.Expand(); cells != nil {
+		t.Fatalf("empty axis expand: %v", cells)
+	}
+}
+
+func TestGridExpandRowMajor(t *testing.T) {
+	cells := Grid{3, 2}.Expand()
+	want := [][]int{
+		{0, 0}, {0, 1},
+		{1, 0}, {1, 1},
+		{2, 0}, {2, 1},
+	}
+	if !reflect.DeepEqual(cells, want) {
+		t.Fatalf("cells: %v, want %v", cells, want)
+	}
+	// Cells are independent slices: appending to one cannot clobber
+	// the next.
+	_ = append(cells[0], 9)
+	if cells[1][0] != 0 || cells[1][1] != 1 {
+		t.Fatalf("cell 1 clobbered: %v", cells[1])
+	}
+	// Expansion is deterministic.
+	if !reflect.DeepEqual(Grid{3, 2}.Expand(), cells) {
+		t.Fatal("expansion not reproducible")
+	}
+}
+
 // TestRunDeterministicOrder is the core worker-pool guarantee: the result
 // slice is ordered by job index no matter how many workers run or how the
 // scheduler interleaves them.

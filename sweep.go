@@ -106,6 +106,14 @@ func (s SweepSpec) normalized() SweepSpec {
 	return s
 }
 
+// grid is the shape of a normalized spec's axes in canonical order
+// (workload slowest, seed fastest), matching the row order of
+// SweepOutcome.Table.
+func (s SweepSpec) grid() sweep.Grid {
+	return sweep.Grid{len(s.Workloads), len(s.Variants), len(s.SBDepths),
+		len(s.Checkpoints), len(s.Nodes), len(s.LinkBandwidths), len(s.Seeds)}
+}
+
 // Jobs expands the spec into concrete run configurations, in deterministic
 // row-major order (workload slowest, seed fastest). Cells that expand to
 // identical configurations — e.g. a Checkpoints axis crossed with a
@@ -113,25 +121,17 @@ func (s SweepSpec) normalized() SweepSpec {
 // first occurrence, so no configuration ever simulates twice.
 func (s SweepSpec) Jobs() ([]Config, error) {
 	s = s.normalized()
-	n := s.Size()
-	jobs := make([]Config, 0, n)
-	seen := make(map[string]bool, n)
-	for i := 0; i < n; i++ {
-		// Cell i's axis positions, read off like the digits of a
-		// mixed-radix number whose last digit is the seed.
-		rem := i
-		next := func(axisLen int) int {
-			k := rem % axisLen
-			rem /= axisLen
-			return k
-		}
-		seed := s.Seeds[next(len(s.Seeds))]
-		linkbw := s.LinkBandwidths[next(len(s.LinkBandwidths))]
-		nodes := s.Nodes[next(len(s.Nodes))]
-		ckpts := s.Checkpoints[next(len(s.Checkpoints))]
-		sbDepth := s.SBDepths[next(len(s.SBDepths))]
-		vname := s.Variants[next(len(s.Variants))]
-		wl := s.Workloads[next(len(s.Workloads))]
+	cells := s.grid().Expand()
+	jobs := make([]Config, 0, len(cells))
+	seen := make(map[string]bool, len(cells))
+	for _, c := range cells {
+		wl := s.Workloads[c[0]]
+		vname := s.Variants[c[1]]
+		sbDepth := s.SBDepths[c[2]]
+		ckpts := s.Checkpoints[c[3]]
+		nodes := s.Nodes[c[4]]
+		linkbw := s.LinkBandwidths[c[5]]
+		seed := s.Seeds[c[6]]
 
 		v, err := VariantByName(vname)
 		if err != nil {
@@ -174,11 +174,7 @@ func (s SweepSpec) Jobs() ([]Config, error) {
 // Size returns the number of cells in the spec's grid before
 // deduplication, the product of the axis lengths; len(Jobs()) can be
 // smaller when axes overlap (see Jobs).
-func (s SweepSpec) Size() int {
-	s = s.normalized()
-	return len(s.Workloads) * len(s.Variants) * len(s.SBDepths) * len(s.Checkpoints) *
-		len(s.Nodes) * len(s.LinkBandwidths) * len(s.Seeds)
-}
+func (s SweepSpec) Size() int { return s.normalized().grid().Size() }
 
 // SweepOptions configures Sweep's execution (not its results: two sweeps
 // of the same spec produce identical outcomes whatever the options).
